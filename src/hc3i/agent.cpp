@@ -15,8 +15,10 @@ using net::payload_as;
 
 Hc3iAgent::Hc3iAgent(const proto::AgentContext& ctx, Hc3iRuntime& rt)
     : AgentBase(ctx), rt_(rt),
+      cluster_base_(ctx.topology->first_node(ctx.cluster)),
       ddv_(rt.cluster_count(), ctx.cluster, 0),
       round_ddv_merge_(rt.cluster_count(), ctx.cluster, 0) {
+  log_.attach_tally(&rt.log_tally(ctx.cluster));
   // known_rollbacks_ stays empty (size 0) until the first alert arrives:
   // failure-free runs — and most nodes of any run — never pay its per-node
   // per-cluster allocation.
@@ -32,7 +34,9 @@ stats::Counter& Hc3iAgent::stat(stats::Counter*& slot, const char* name) {
 }
 
 std::uint32_t Hc3iAgent::local_index(NodeId n) const {
-  return n.v - ctx_.topology->first_node(ctx_.topology->cluster_of(n)).v;
+  HC3I_CHECK(ctx_.topology->cluster_of(n) == cluster(),
+             "local_index: node outside this cluster");
+  return n.v - cluster_base_.v;
 }
 
 std::uint32_t Hc3iAgent::replicas_needed() const {
@@ -74,10 +78,9 @@ SimTime Hc3iAgent::state_restore_delay() const {
 }
 
 void Hc3iAgent::note_log_highwater() {
-  stat(stat_log_max_entries_, "log.max_entries")
-      .raise(rt_.cluster_log_entries(cluster()));
-  stat(stat_log_max_unacked_, "log.max_unacked")
-      .raise(rt_.cluster_unacked_log_entries(cluster()));
+  const proto::LogTally& tally = rt_.log_tally(cluster());
+  stat(stat_log_max_entries_, "log.max_entries").raise(tally.entries);
+  stat(stat_log_max_unacked_, "log.max_unacked").raise(tally.unacked);
 }
 
 // ---------------------------------------------------------------------------

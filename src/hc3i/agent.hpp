@@ -87,6 +87,8 @@ class Hc3iAgent : public proto::AgentBase {
   Hc3iRuntime& rt_;
 
  private:
+  const NodeId cluster_base_;  ///< first node of this cluster: local index 0
+
   // -- receive dispatch
   void on_app_message(const net::Envelope& env);
   void on_control_message(const net::Envelope& env);

@@ -13,6 +13,7 @@ Hc3iRuntime::Hc3iRuntime(const config::RunSpec& spec, Hc3iOptions opts)
   incarnations_.assign(n, 0);
   fault_recovery_owed_.assign(n, 0);
   agents_.resize(n);
+  log_tallies_.resize(n);
   stores_.reserve(n);
   for (std::size_t c = 0; c < n; ++c) {
     const std::uint32_t nodes = spec_.topology.clusters[c].nodes;
@@ -70,20 +71,6 @@ std::uint64_t Hc3iRuntime::fed_rollback_epoch() const {
 const std::vector<Hc3iAgent*>& Hc3iRuntime::cluster_agents(ClusterId c) const {
   HC3I_CHECK(c.v < agents_.size(), "cluster_agents: bad cluster");
   return agents_[c.v];
-}
-
-std::size_t Hc3iRuntime::cluster_log_entries(ClusterId c) const {
-  std::size_t total = 0;
-  for (const Hc3iAgent* a : cluster_agents(c)) total += a->log_size();
-  return total;
-}
-
-std::size_t Hc3iRuntime::cluster_unacked_log_entries(ClusterId c) const {
-  std::size_t total = 0;
-  for (const Hc3iAgent* a : cluster_agents(c)) {
-    total += a->msg_log().unacked_count();
-  }
-  return total;
 }
 
 void Hc3iRuntime::record_gc(SimTime t, ClusterId c, std::size_t before,

@@ -24,6 +24,7 @@
 #include "hc3i/options.hpp"
 #include "proto/agent.hpp"
 #include "proto/clc_store.hpp"
+#include "proto/msg_log.hpp"
 #include "storage/backend.hpp"
 #include "util/check.hpp"
 #include "util/ids.hpp"
@@ -111,10 +112,13 @@ class Hc3iRuntime {
   /// Agents of one cluster, in node order (available once built).
   const std::vector<Hc3iAgent*>& cluster_agents(ClusterId c) const;
 
-  /// Total sender-log entries currently held by a cluster's nodes.
-  std::size_t cluster_log_entries(ClusterId c) const;
-  /// Unacknowledged sender-log entries across a cluster's nodes.
-  std::size_t cluster_unacked_log_entries(ClusterId c) const;
+  /// Sender-log entries (and unacknowledged entries) currently held by a
+  /// cluster's nodes.  Each agent's log reports its changes here
+  /// (MsgLog::attach_tally), so reading a total is O(1).
+  proto::LogTally& log_tally(ClusterId c) {
+    HC3I_CHECK(c.v < log_tallies_.size(), "log_tally: bad cluster");
+    return log_tallies_[c.v];
+  }
 
   /// Record a GC outcome (called by each cluster's GC handler).
   void record_gc(SimTime t, ClusterId c, std::size_t before,
@@ -154,6 +158,8 @@ class Hc3iRuntime {
   std::vector<std::unique_ptr<storage::Backend>> backends_;  ///< per cluster
   std::vector<Incarnation> incarnations_;
   std::vector<std::vector<Hc3iAgent*>> agents_;  ///< [cluster][local index]
+  std::vector<proto::LogTally> log_tallies_;     ///< per cluster; never
+                                                 ///< resized (logs point in)
   std::vector<GcEvent> gc_events_;
   std::vector<std::uint8_t> fault_recovery_owed_;  ///< per cluster, 0/1
   ProtocolObserver* observer_{nullptr};

@@ -1,6 +1,6 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace hc3i::net {
 
@@ -8,28 +8,12 @@ Topology::Topology(config::TopologySpec spec) : spec_(std::move(spec)) {
   spec_.validate();
   first_.reserve(spec_.cluster_count());
   std::uint32_t next = 0;
-  for (const auto& c : spec_.clusters) {
+  for (std::uint32_t c = 0; c < spec_.cluster_count(); ++c) {
     first_.push_back(next);
-    next += c.nodes;
+    next += spec_.clusters[c].nodes;
+    cluster_of_.resize(next, c);
   }
   total_nodes_ = next;
-}
-
-std::uint32_t Topology::cluster_size(ClusterId c) const {
-  HC3I_CHECK(c.v < spec_.cluster_count(), "cluster_size: bad cluster id");
-  return spec_.clusters[c.v].nodes;
-}
-
-ClusterId Topology::cluster_of(NodeId n) const {
-  HC3I_CHECK(n.v < total_nodes_, "cluster_of: bad node id");
-  // first_ is sorted; find the last cluster whose first node is <= n.
-  const auto it = std::upper_bound(first_.begin(), first_.end(), n.v);
-  return ClusterId{static_cast<std::uint32_t>(it - first_.begin() - 1)};
-}
-
-NodeId Topology::first_node(ClusterId c) const {
-  HC3I_CHECK(c.v < first_.size(), "first_node: bad cluster id");
-  return NodeId{first_[c.v]};
 }
 
 std::vector<NodeId> Topology::nodes_of(ClusterId c) const {

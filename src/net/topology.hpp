@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "config/spec.hpp"
+#include "util/check.hpp"
 #include "util/ids.hpp"
 
 namespace hc3i::net {
@@ -23,11 +24,20 @@ class Topology {
   /// Total node count.
   std::uint32_t node_count() const { return total_nodes_; }
   /// Number of nodes in a cluster.
-  std::uint32_t cluster_size(ClusterId c) const;
+  std::uint32_t cluster_size(ClusterId c) const {
+    HC3I_CHECK(c.v < spec_.cluster_count(), "cluster_size: bad cluster id");
+    return spec_.clusters[c.v].nodes;
+  }
   /// Cluster that owns a node.
-  ClusterId cluster_of(NodeId n) const;
+  ClusterId cluster_of(NodeId n) const {
+    HC3I_CHECK(n.v < total_nodes_, "cluster_of: bad node id");
+    return ClusterId{cluster_of_[n.v]};
+  }
   /// First (lowest-id) node of a cluster — the default coordinator.
-  NodeId first_node(ClusterId c) const;
+  NodeId first_node(ClusterId c) const {
+    HC3I_CHECK(c.v < first_.size(), "first_node: bad cluster id");
+    return NodeId{first_[c.v]};
+  }
   /// All node ids of a cluster, in id order.
   std::vector<NodeId> nodes_of(ClusterId c) const;
   /// Link parameters between two nodes: the cluster SAN when co-located,
@@ -42,6 +52,9 @@ class Topology {
  private:
   config::TopologySpec spec_;
   std::vector<std::uint32_t> first_;  ///< first node id of each cluster
+  std::vector<std::uint32_t> cluster_of_;  ///< owning cluster of each node
+                                           ///< (the hot lookup: every send
+                                           ///< resolves both endpoints)
   std::uint32_t total_nodes_{0};
 };
 

@@ -6,6 +6,36 @@
 
 namespace hc3i::proto {
 
+namespace {
+
+// Records are stored in strictly increasing SN order (commit() checks it),
+// so every SN lookup is a binary search and every drop a prefix or suffix.
+constexpr auto kSnBelow = [](const ClcRecord& r, SeqNum sn) {
+  return r.sn < sn;
+};
+constexpr auto kSnAbove = [](SeqNum sn, const ClcRecord& r) {
+  return sn < r.sn;
+};
+
+/// Modelled bytes of one record across the cluster, replicas included.  A
+/// committed record never changes (the snapshot is a value, the log and
+/// dedup images are frozen copy-on-write captures), so this is computed
+/// once, at commit.
+std::uint64_t replicated_bytes(const ClcRecord& r, std::uint32_t replication) {
+  std::uint64_t bytes = 0;
+  for (const auto& p : r.parts) {
+    // Incremental captures store the touched-range delta, full captures
+    // the whole state image.
+    bytes += p.app.incremental ? p.app.delta_bytes : p.app.state_bytes;
+    bytes += p.dedup.size() * sizeof(std::uint64_t);
+    for (const auto& e : p.log.entries()) bytes += e.env.wire_bytes();
+  }
+  for (const auto& ch : r.channel) bytes += ch.wire_bytes();
+  return bytes * (1 + replication);
+}
+
+}  // namespace
+
 ClcStore::ClcStore(ClusterId cluster, std::uint32_t nodes,
                    std::uint32_t replication)
     : cluster_(cluster), nodes_(nodes), replication_(replication) {
@@ -21,7 +51,10 @@ void ClcStore::commit(ClcRecord rec) {
              "ClcStore: SNs must be strictly increasing");
   HC3I_CHECK(rec.ddv.at(cluster_) == rec.sn,
              "ClcStore: own DDV entry must equal the record SN");
+  const std::uint64_t bytes = replicated_bytes(rec, replication_);
   records_.push_back(std::move(rec));
+  record_bytes_.push_back(bytes);
+  total_bytes_ += bytes;
 }
 
 const ClcRecord& ClcStore::last() const {
@@ -38,41 +71,43 @@ const ClcRecord* ClcStore::oldest_with_dep_at_least(ClusterId f,
 }
 
 const ClcRecord* ClcStore::find(SeqNum sn) const {
-  for (const auto& r : records_) {
-    if (r.sn == sn) return &r;
-  }
-  return nullptr;
+  const auto it =
+      std::lower_bound(records_.begin(), records_.end(), sn, kSnBelow);
+  return it != records_.end() && it->sn == sn ? &*it : nullptr;
 }
 
 std::size_t ClcStore::truncate_after(SeqNum sn) {
-  const std::size_t before = records_.size();
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [&](const ClcRecord& r) { return r.sn > sn; }),
-      records_.end());
-  return before - records_.size();
+  const auto first =
+      std::upper_bound(records_.begin(), records_.end(), sn, kSnAbove);
+  return erase(static_cast<std::size_t>(first - records_.begin()),
+               records_.size());
 }
 
 std::size_t ClcStore::prune_before(SeqNum min_sn) {
-  const std::size_t before = records_.size();
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [&](const ClcRecord& r) { return r.sn < min_sn; }),
-      records_.end());
-  return before - records_.size();
+  const auto last =
+      std::lower_bound(records_.begin(), records_.end(), min_sn, kSnBelow);
+  return erase(0, static_cast<std::size_t>(last - records_.begin()));
+}
+
+std::size_t ClcStore::erase(std::size_t first, std::size_t last) {
+  HC3I_CHECK(record_bytes_.size() == records_.size(),
+             "ClcStore: byte accounting out of step with the records");
+  for (std::size_t i = first; i < last; ++i) total_bytes_ -= record_bytes_[i];
+  const auto drop = [first, last](auto& v) {
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(first),
+            v.begin() + static_cast<std::ptrdiff_t>(last));
+  };
+  drop(records_);
+  drop(record_bytes_);
+  return last - first;
 }
 
 std::uint64_t ClcStore::chain_read_bytes(SeqNum sn,
                                          std::uint32_t node_idx) const {
   HC3I_CHECK(node_idx < nodes_, "chain_read_bytes: bad node index");
-  std::size_t at = records_.size();
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (records_[i].sn == sn) {
-      at = i;
-      break;
-    }
-  }
-  HC3I_CHECK(at < records_.size(), "chain_read_bytes: SN not retained");
+  const ClcRecord* rec = find(sn);
+  HC3I_CHECK(rec != nullptr, "chain_read_bytes: SN not retained");
+  const auto at = static_cast<std::size_t>(rec - records_.data());
   std::uint64_t total = 0;
   for (std::size_t i = at + 1; i-- > 0;) {
     const AppSnapshot& app = records_[i].parts[node_idx].app;
@@ -87,23 +122,6 @@ std::uint64_t ClcStore::chain_read_bytes(SeqNum sn,
       return total;
     }
     total += app.delta_bytes;
-  }
-  return total;
-}
-
-std::uint64_t ClcStore::storage_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& r : records_) {
-    std::uint64_t rec_bytes = 0;
-    for (const auto& p : r.parts) {
-      // Incremental captures store the touched-range delta, full captures
-      // the whole state image.
-      rec_bytes += p.app.incremental ? p.app.delta_bytes : p.app.state_bytes;
-      rec_bytes += p.dedup.size() * sizeof(std::uint64_t);
-      for (const auto& e : p.log.entries()) rec_bytes += e.env.wire_bytes();
-    }
-    for (const auto& ch : r.channel) rec_bytes += ch.wire_bytes();
-    total += rec_bytes * (1 + replication_);
   }
   return total;
 }

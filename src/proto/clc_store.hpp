@@ -87,8 +87,10 @@ class ClcStore {
 
   /// Total modelled storage bytes across the cluster (states + channel
   /// captures + checkpointed logs, including replicas).  Incremental
-  /// captures count their delta, not the full state image.
-  std::uint64_t storage_bytes() const;
+  /// captures count their delta, not the full state image.  O(1): a
+  /// committed record never changes, so its bytes are counted once at
+  /// commit and the total follows every commit, truncation and prune.
+  std::uint64_t storage_bytes() const { return total_bytes_; }
 
   /// Bytes node `node_idx` must read back to restore from the CLC with
   /// SN `sn`: its part of that record plus every older delta back to (and
@@ -101,10 +103,16 @@ class ClcStore {
   std::uint32_t replication() const { return replication_; }
 
  private:
+  /// Drop records_[first, last) and their byte counts.
+  std::size_t erase(std::size_t first, std::size_t last);
+
   ClusterId cluster_;
   std::uint32_t nodes_;
   std::uint32_t replication_;
   std::vector<ClcRecord> records_;
+  std::vector<std::uint64_t> record_bytes_;  ///< bytes of records_[i],
+                                             ///< replicas included
+  std::uint64_t total_bytes_{0};             ///< sum of record_bytes_
 };
 
 }  // namespace hc3i::proto

@@ -19,6 +19,14 @@ void MsgLog::detach() {
   }
 }
 
+void MsgLog::attach_tally(LogTally* tally) {
+  HC3I_CHECK(tally != nullptr && tally_ == nullptr,
+             "MsgLog: attach exactly one tally");
+  tally_ = tally;
+  tally_->entries += size();
+  tally_->unacked += unacked_;
+}
+
 void MsgLog::add(const net::Envelope& env) {
   HC3I_CHECK(!env.intra_cluster(), "MsgLog: only inter-cluster messages are logged");
   HC3I_CHECK(size() == 0 || entries_->back().env.id.v < env.id.v,
@@ -26,6 +34,10 @@ void MsgLog::add(const net::Envelope& env) {
   detach();
   entries_->push_back(LogEntry{env, false, 0, 0});
   ++unacked_;
+  if (tally_ != nullptr) {
+    ++tally_->entries;
+    ++tally_->unacked;
+  }
 }
 
 void MsgLog::record_ack(MsgId id, SeqNum ack_sn, Incarnation ack_inc) {
@@ -38,7 +50,10 @@ void MsgLog::record_ack(MsgId id, SeqNum ack_sn, Incarnation ack_inc) {
   const std::size_t idx = static_cast<std::size_t>(it - entries_->begin());
   detach();
   LogEntry& e = (*entries_)[idx];
-  if (!e.acked) --unacked_;
+  if (!e.acked) {
+    --unacked_;
+    if (tally_ != nullptr) --tally_->unacked;
+  }
   e.acked = true;
   e.ack_sn = ack_sn;
   e.ack_inc = ack_inc;
@@ -63,11 +78,12 @@ std::vector<net::Envelope> MsgLog::take_resends(ClusterId dst,
     if (needs_resend(e)) out.push_back(e.env);
   }
   if (out.empty()) return out;
+  const std::size_t before = size(), unacked_before = unacked_;
   detach();
   entries_->erase(
       std::remove_if(entries_->begin(), entries_->end(), needs_resend),
       entries_->end());
-  recount_unacked();
+  settle(before, unacked_before);
   return out;
 }
 
@@ -76,12 +92,12 @@ std::size_t MsgLog::truncate_from(SeqNum restored_sn) {
   const auto undone = [&](const LogEntry& e) {
     return e.env.piggy.sn >= restored_sn;
   };
-  const std::size_t before = entries_->size();
+  const std::size_t before = entries_->size(), unacked_before = unacked_;
   if (std::none_of(entries_->begin(), entries_->end(), undone)) return 0;
   detach();
   entries_->erase(std::remove_if(entries_->begin(), entries_->end(), undone),
                   entries_->end());
-  recount_unacked();
+  settle(before, unacked_before);
   return before - entries_->size();
 }
 
@@ -96,19 +112,25 @@ std::size_t MsgLog::prune(ClusterId dst, SeqNum min_sn) {
   entries_->erase(std::remove_if(entries_->begin(), entries_->end(), stable),
                   entries_->end());
   // Pruned entries were all acked, so unacked_ is unchanged.
+  if (tally_ != nullptr) tally_->entries -= before - entries_->size();
   return before - entries_->size();
 }
 
 void MsgLog::restore(const LogImage& image) {
   // Adopt the shared buffer (or the empty state); detach() protects the
   // image (and any other adopter) if this log mutates later.
+  const std::size_t before = size(), unacked_before = unacked_;
   entries_ = std::const_pointer_cast<std::vector<LogEntry>>(image.data_);
-  recount_unacked();
+  settle(before, unacked_before);
 }
 
-void MsgLog::recount_unacked() {
+void MsgLog::settle(std::size_t entries_before, std::size_t unacked_before) {
   unacked_ = 0;
   for (const auto& e : entries()) unacked_ += e.acked ? 0 : 1;
+  if (tally_ == nullptr) return;
+  // Sizes are unsigned: adding the wrapped difference is exact either way.
+  tally_->entries += size() - entries_before;
+  tally_->unacked += unacked_ - unacked_before;
 }
 
 std::uint64_t MsgLog::bytes() const {

@@ -62,9 +62,26 @@ class LogImage {
   std::shared_ptr<const std::vector<LogEntry>> data_;
 };
 
+/// Running entry counts summed over several logs.  Hc3iRuntime keeps one
+/// per cluster, so the log high-water (read on every inter-cluster send)
+/// costs O(1) rather than a walk over the cluster's nodes.
+struct LogTally {
+  std::size_t entries{0};
+  std::size_t unacked{0};
+};
+
 /// A node's volatile log of its own inter-cluster sends.
 class MsgLog {
  public:
+  MsgLog() = default;
+  // A copy would report into the same tally twice.
+  MsgLog(const MsgLog&) = delete;
+  MsgLog& operator=(const MsgLog&) = delete;
+
+  /// Add this log's counts to `tally` and keep it in step with every later
+  /// change of size() and unacked_count().  `tally` must outlive the log.
+  void attach_tally(LogTally* tally);
+
   /// Log a freshly sent message.
   void add(const net::Envelope& env);
 
@@ -112,7 +129,9 @@ class MsgLog {
   void restore(const LogImage& image);
 
  private:
-  void recount_unacked();
+  /// Recount unacked_ from the entries, then post the change since
+  /// (`entries_before`, `unacked_before`) to the tally.
+  void settle(std::size_t entries_before, std::size_t unacked_before);
   /// Copy-on-write barrier: clone the backing storage iff it is shared
   /// with a captured image (or another log restored from one).
   void detach();
@@ -129,6 +148,7 @@ class MsgLog {
   // capture of them) must not cost an allocation.
   std::shared_ptr<std::vector<LogEntry>> entries_;
   std::size_t unacked_{0};
+  LogTally* tally_{nullptr};
 };
 
 }  // namespace hc3i::proto

@@ -7,6 +7,7 @@
 
 #include "proto/recovery_line.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace hc3i::testing {
 namespace {
@@ -328,6 +329,45 @@ TEST(Rollback, RepeatedFaultsStayConsistent) {
     EXPECT_TRUE(w.fed.ledger().validate(false).empty()) << "round " << round;
   }
   EXPECT_EQ(w.registry.get("fault.injected"), 5u);
+}
+
+TEST(Rollback, ClusterLogTotalsMatchAgentLogs) {
+  // The runtime's per-cluster sender-log totals follow every log change
+  // (send, ack, resend, truncation, restore of a lost log, GC prune); after
+  // each fault of a three-cluster run they must equal the sums over the
+  // cluster's agents.
+  config::RunSpec spec = tiny_spec(3, 3);
+  for (auto& c : spec.timers.clusters) c.clc_period = minutes(2);
+  spec.timers.gc_period = minutes(3);
+  MiniWorld w(spec, 3);
+  RngStream rng(3, 0);
+  const auto random_node = [&] {
+    return NodeId{static_cast<std::uint32_t>(rng.next_below(9))};
+  };
+  for (int round = 0; round < 8; ++round) {
+    for (int k = 0; k < 20; ++k) {
+      const NodeId src = random_node(), dst = random_node();
+      if (src != dst) w.send(src, dst);
+    }
+    w.settle(seconds(1));
+    w.fed.inject_failure(random_node());
+    w.settle(minutes(2));
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      std::size_t entries = 0, unacked = 0;
+      for (const core::Hc3iAgent* a :
+           w.runtime->cluster_agents(ClusterId{c})) {
+        entries += a->log_size();
+        unacked += a->msg_log().unacked_count();
+      }
+      const proto::LogTally& tally = w.runtime->log_tally(ClusterId{c});
+      EXPECT_EQ(tally.entries, entries) << "round " << round << " c" << c;
+      EXPECT_EQ(tally.unacked, unacked) << "round " << round << " c" << c;
+    }
+  }
+  EXPECT_EQ(w.registry.get("fault.injected"), 8u);
+  EXPECT_GT(w.registry.get("log.resent_msgs"), 0u);
+  EXPECT_GT(w.registry.get("gc.log_entries_removed"), 0u);
+  EXPECT_TRUE(w.fed.ledger().validate(false).empty());
 }
 
 }  // namespace

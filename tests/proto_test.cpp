@@ -4,8 +4,10 @@
 
 #include "proto/clc_store.hpp"
 #include "proto/ddv.hpp"
+#include "proto/dedup_set.hpp"
 #include "proto/ledger.hpp"
 #include "proto/msg_log.hpp"
+#include "util/rng.hpp"
 
 namespace hc3i::proto {
 namespace {
@@ -245,6 +247,74 @@ TEST(ClcStore, ReplicationBounds) {
   EXPECT_THROW(ClcStore(ClusterId{0}, 2, 2), CheckFailure);
   ClcStore solo(ClusterId{0}, 1, 0);
   EXPECT_EQ(solo.replication(), 0u);
+}
+
+/// Reference count: the from-scratch walk over every retained record, node
+/// part and log entry that ClcStore::storage_bytes() keeps up to date.
+std::uint64_t storage_bytes_from_scratch(const ClcStore& store) {
+  std::uint64_t total = 0;
+  for (const auto& r : store.records()) {
+    std::uint64_t rec_bytes = 0;
+    for (const auto& p : r.parts) {
+      rec_bytes += p.app.incremental ? p.app.delta_bytes : p.app.state_bytes;
+      rec_bytes += p.dedup.size() * sizeof(std::uint64_t);
+      for (const auto& e : p.log.entries()) rec_bytes += e.env.wire_bytes();
+    }
+    for (const auto& ch : r.channel) rec_bytes += ch.wire_bytes();
+    total += rec_bytes * (1 + store.replication());
+  }
+  return total;
+}
+
+TEST(ClcStore, StorageBytesMatchesFromScratchCount) {
+  // Random commit / truncate_after / prune_before sequences; after every
+  // operation the running total must equal the full recount.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RngStream rng(seed, 0);
+    const auto nodes = static_cast<std::uint32_t>(1 + rng.next_below(4));
+    ClcStore store(ClusterId{0}, nodes,
+                   static_cast<std::uint32_t>(rng.next_below(nodes)));
+    // Live per-node logs and dedup sets, mutated between commits, so the
+    // records mix shared and fresh copy-on-write images.
+    std::vector<MsgLog> logs(nodes);
+    std::vector<DedupSet> dedups(nodes);
+    SeqNum sn = 0;
+    std::uint64_t next_id = 1;
+    for (int op = 0; op < 60; ++op) {
+      const std::uint64_t pick = rng.next_below(10);
+      if (pick < 6 || store.empty()) {
+        sn += static_cast<SeqNum>(1 + rng.next_below(3));
+        ClcRecord rec = record(sn, {sn}, nodes);
+        for (std::uint32_t i = 0; i < nodes; ++i) {
+          for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+            net::Envelope env = inter_env(next_id++, sn);
+            env.payload_bytes = rng.next_below(5000);
+            logs[i].add(env);
+          }
+          if (rng.bernoulli(0.3)) dedups[i].insert(rng.next_below(1000));
+          NodePart& part = rec.parts[i];
+          part.app.incremental = rng.bernoulli(0.5);
+          part.app.delta_bytes = rng.next_below(1000);
+          part.log = logs[i].capture();
+          part.dedup = dedups[i].capture();
+        }
+        for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+          net::Envelope env = inter_env(next_id++, sn);
+          env.payload_bytes = rng.next_below(5000);
+          rec.channel.push_back(env);
+        }
+        store.commit(std::move(rec));
+      } else if (pick < 8) {
+        store.truncate_after(
+            static_cast<SeqNum>(rng.next_below(std::uint64_t{sn} + 1)));
+      } else {
+        store.prune_before(
+            static_cast<SeqNum>(rng.next_below(std::uint64_t{sn} + 2)));
+      }
+      ASSERT_EQ(store.storage_bytes(), storage_bytes_from_scratch(store))
+          << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
