@@ -4,7 +4,9 @@
 //
 //   events    — event-queue timer churn: a working set of live timers being
 //               cancelled/rescheduled while the queue drains, the pattern CLC
-//               period timers generate over a 10-simulated-hour run.
+//               period timers generate over a 10-simulated-hour run, mixed
+//               with 2PC-shaped fan-outs (one event schedules 99
+//               same-instant requests, each of which schedules one reply).
 //   msgs      — network send/deliver: every message crosses Network::send
 //               (stats census, flight registry, arrival scheduling), the
 //               per-message path of Table 1's census.
@@ -35,7 +37,10 @@
 // Each kernel also reports an allocations-per-op proxy: the bench overrides
 // global operator new/delete with counting shims, so the steady-state heap
 // traffic of the hot path is a first-class regression number next to the
-// rate (the zero-allocation message path is an invariant, not a vibe).
+// rate.  The events, msgs, msgs_ddv, trace_off and trace_emit kernels are
+// zero-allocation invariants, not trends: each takes its allocation
+// baseline after a warm-up and the process exits non-zero on any
+// steady-state allocation.
 //
 // Emits machine-readable results to BENCH_micro.json (override with --out=)
 // so CI can archive the perf trajectory; --dump-counters prints the registry
@@ -129,6 +134,15 @@ long peak_rss_kb() {
   return ru.ru_maxrss;
 }
 
+/// Enforce a zero-allocation kernel: exit non-zero on any steady-state
+/// allocation, so a bench smoke run fails on a regression.
+void require_zero_allocs(const char* kernel, std::uint64_t allocs) {
+  if (allocs == 0) return;
+  std::fprintf(stderr, "%s kernel: %llu steady-state allocations (must be 0)\n",
+               kernel, static_cast<unsigned long long>(allocs));
+  std::exit(1);
+}
+
 struct KernelResult {
   std::uint64_t ops{0};
   double elapsed_sec{0.0};
@@ -144,36 +158,64 @@ struct KernelResult {
 /// Timer-churn kernel: W live timers, each op cancels one and schedules a
 /// replacement; every fourth op pops the earliest event.  This is the
 /// schedule/cancel/reschedule pattern the CLC timers drive, sustained long
-/// enough that per-event bookkeeping (not the heap) dominates.
+/// enough that per-event bookkeeping (not the heap) dominates.  Every
+/// 1024th op also starts a 2PC-shaped fan-out: a root event that schedules
+/// 99 same-instant requests, each of which schedules one reply, the shape
+/// of a coordinator's request/ack round over identical links.  An untimed
+/// first pass runs the identical sequence on the same queue, so the timed
+/// pass starts with every slab at its peak and must not allocate at all.
 KernelResult bench_events(std::uint64_t ops, std::uint64_t seed) {
   constexpr std::size_t kWindow = 8192;
+  constexpr std::uint64_t kFanoutEvery = 1024;
+  constexpr int kFanout = 99;
   sim::EventQueue q;
-  RngStream rng(seed, 7);
   std::uint64_t fired = 0;
   std::vector<sim::EventId> live(kWindow);
 
+  const auto fanout = [&q, &fired](SimTime at) {
+    q.schedule(at, [&q, &fired, at] {
+      ++fired;
+      const SimTime arrive = at + SimTime{5};
+      for (int i = 0; i < kFanout; ++i) {
+        q.schedule(arrive, [&q, &fired, arrive] {
+          ++fired;
+          q.schedule(arrive + SimTime{5}, [&fired] { ++fired; });
+        });
+      }
+    });
+  };
+  const auto pass = [&] {
+    RngStream rng(seed, 7);
+    for (std::size_t i = 0; i < kWindow; ++i) {
+      live[i] = q.schedule(SimTime{static_cast<std::int64_t>(i + 1)},
+                           [&fired] { ++fired; });
+    }
+    SimTime frontier = SimTime::zero();
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      const std::size_t idx = op % kWindow;
+      q.cancel(live[idx]);  // often stale (already fired) — must be a no-op
+      const auto jitter = static_cast<std::int64_t>(rng.next_below(1000) + 1);
+      live[idx] = q.schedule(frontier + SimTime{jitter}, [&fired] { ++fired; });
+      if (op % kFanoutEvery == 0) fanout(frontier + SimTime{jitter});
+      if (op % 4 == 0 && !q.empty()) {
+        auto [t, cb] = q.pop();
+        frontier = t;
+        cb();
+      }
+    }
+    while (!q.empty()) q.pop().second();
+  };
+  pass();  // warm-up: grows the slabs to the sequence's peak
+
+  const std::uint64_t scheduled0 = q.scheduled_count();
   const double t0 = now_sec();
   const std::uint64_t allocs0 = g_allocs;
-  for (std::size_t i = 0; i < kWindow; ++i) {
-    live[i] = q.schedule(SimTime{static_cast<std::int64_t>(i + 1)},
-                         [&fired] { ++fired; });
-  }
-  SimTime frontier = SimTime::zero();
-  for (std::uint64_t op = 0; op < ops; ++op) {
-    const std::size_t idx = op % kWindow;
-    q.cancel(live[idx]);  // often stale (already fired) — must be a no-op
-    const auto jitter = static_cast<std::int64_t>(rng.next_below(1000) + 1);
-    live[idx] = q.schedule(frontier + SimTime{jitter}, [&fired] { ++fired; });
-    if (op % 4 == 0 && !q.empty()) {
-      auto [t, cb] = q.pop();
-      frontier = t;
-      cb();
-    }
-  }
-  while (!q.empty()) q.pop().second();
+  pass();
   const double elapsed = now_sec() - t0;
+  const std::uint64_t allocs = g_allocs - allocs0;
   if (fired == 0) std::fprintf(stderr, "events kernel: nothing fired?\n");
-  return KernelResult{ops + kWindow, elapsed, g_allocs - allocs0};
+  require_zero_allocs("events", allocs);
+  return KernelResult{q.scheduled_count() - scheduled0, elapsed, allocs};
 }
 
 /// Network send/deliver kernel over a 2-cluster federation: alternating
@@ -230,8 +272,10 @@ KernelResult bench_msgs(std::uint64_t msgs, std::uint64_t seed, bool with_ddv) {
   }
   sim.run_all();
   const double elapsed = now_sec() - t0;
+  const std::uint64_t allocs = g_allocs - allocs0;
   if (delivered != total) std::fprintf(stderr, "msgs kernel: lost messages?\n");
-  return KernelResult{msgs, elapsed, g_allocs - allocs0};
+  require_zero_allocs(with_ddv ? "msgs_ddv" : "msgs", allocs);
+  return KernelResult{msgs, elapsed, allocs};
 }
 
 /// End-to-end run of the paper's §5 reference scenario (2 clusters x 100
@@ -348,13 +392,7 @@ KernelResult bench_trace_off(std::uint64_t ops) {
   }
   const double elapsed = now_sec() - t0;
   const std::uint64_t allocs = g_allocs - allocs0;
-  if (allocs != 0) {
-    std::fprintf(stderr,
-                 "trace_off kernel: %llu allocations with tracing off "
-                 "(must be 0)\n",
-                 static_cast<unsigned long long>(allocs));
-    std::exit(1);
-  }
+  require_zero_allocs("trace_off", allocs);
   if (sunk == 0 && ops > 1) std::fprintf(stderr, "trace_off: loop elided?\n");
   return KernelResult{ops, elapsed, allocs};
 }
@@ -382,13 +420,7 @@ KernelResult bench_trace_emit(std::uint64_t ops) {
   const std::uint64_t allocs = g_allocs - allocs0;
   Trace::set_sink({});
   Trace::set_level(saved);
-  if (allocs != 0) {
-    std::fprintf(stderr,
-                 "trace_emit kernel: %llu steady-state allocations "
-                 "(must be 0)\n",
-                 static_cast<unsigned long long>(allocs));
-    std::exit(1);
-  }
+  require_zero_allocs("trace_emit", allocs);
   if (lines != ops + 64) std::fprintf(stderr, "trace_emit: lost lines?\n");
   return KernelResult{ops, elapsed, allocs};
 }
@@ -466,11 +498,11 @@ int main(int argc, char** argv) {
                 static_cast<double>(scale_half.alloc_bytes)
           : 0.0;
 
-  std::printf("events    : %12.0f events/sec  (%.4f allocs/op)\n",
+  std::printf("events    : %12.0f events/sec  (%.4f allocs/op, asserted 0)\n",
               events.rate(), events.allocs_per_op());
-  std::printf("msgs      : %12.0f msgs/sec    (%.4f allocs/msg)\n",
+  std::printf("msgs      : %12.0f msgs/sec    (%.4f allocs/msg, asserted 0)\n",
               msgs.rate(), msgs.allocs_per_op());
-  std::printf("msgs_ddv  : %12.0f msgs/sec    (%.4f allocs/msg)\n",
+  std::printf("msgs_ddv  : %12.0f msgs/sec    (%.4f allocs/msg, asserted 0)\n",
               msgs_ddv.rate(), msgs_ddv.allocs_per_op());
   std::printf("whole_sim : %12.0f events/sec  (%.4f allocs/event)\n",
               whole.rate(), whole.allocs_per_op());

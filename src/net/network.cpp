@@ -63,7 +63,6 @@ std::uint32_t Network::alloc_flight() {
 
 void Network::release_flight(std::uint32_t slot) {
   Flight& f = flights_[slot];
-  f.env = {};  // drop payload references now, not when the slot is reused
   f.live = false;
   f.parked = false;
   f.park_prev = f.park_next = kNil;
@@ -140,7 +139,7 @@ void Network::arrive(std::uint32_t slot, std::uint32_t gen) {
     park(slot);
     return;
   }
-  Envelope env = std::move(f.env);
+  Envelope env = std::move(f.env);  // leaves the slot holding no payload
   release_flight(slot);
   const auto& fn = deliver_[env.dst.v];
   HC3I_CHECK(static_cast<bool>(fn), "arrive: node has no receive handler");
@@ -210,6 +209,7 @@ std::size_t Network::drop_in_flight(
     } else {
       sim_.cancel(f.event);
     }
+    f.env = {};  // drop payload references now, not when the slot is reused
     release_flight(s);
     ++dropped;
   }

@@ -107,6 +107,8 @@ class Network {
   void arrive(std::uint32_t slot, std::uint32_t gen);
   void count_send(const Envelope& env);
   std::uint32_t alloc_flight();
+  /// Recycle a flight slot.  Leaves `env` alone: callers move it out
+  /// (arrive) or reset it (drop_in_flight) first.
   void release_flight(std::uint32_t slot);
   void park(std::uint32_t slot);
   void unpark(std::uint32_t slot);

@@ -43,6 +43,44 @@ void EventQueue::remove_at(std::size_t i) {
   }
 }
 
+void EventQueue::open_group(SimTime t) {
+  std::uint32_t g;
+  if (!free_groups_.empty()) {
+    g = free_groups_.back();
+    free_groups_.pop_back();
+  } else {
+    g = static_cast<std::uint32_t>(groups_.size());
+    groups_.emplace_back();
+  }
+  heap_.push_back(Entry{t, next_seq_, g});
+  groups_[g].pos = static_cast<std::uint32_t>(heap_.size() - 1);
+  sift_up(heap_.size() - 1);
+  last_group_ = g;
+  last_t_ = t;
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  Group& g = groups_[s.group];
+  if (s.prev != kNil) {
+    slots_[s.prev].next = s.next;
+  } else {
+    g.head = s.next;
+  }
+  if (s.next != kNil) {
+    slots_[s.next].prev = s.prev;
+  } else {
+    g.tail = s.prev;
+  }
+  if (g.head == kNil) {  // the group emptied: retire its heap entry
+    remove_at(g.pos);
+    if (s.group == last_group_) last_group_ = kNil;
+    free_groups_.push_back(s.group);
+  }
+  ++s.gen;
+  free_.push_back(slot);
+}
+
 EventId EventQueue::schedule(SimTime t, Callback cb) {
   HC3I_CHECK(static_cast<bool>(cb), "schedule: empty callback");
   std::uint32_t slot;
@@ -53,12 +91,22 @@ EventId EventQueue::schedule(SimTime t, Callback cb) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
-  slots_[slot].cb = std::move(cb);
-  heap_.push_back(Entry{t, next_seq_++, slot});
-  slots_[slot].pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
+  if (last_group_ == kNil || last_t_ != t) open_group(t);
+  Group& g = groups_[last_group_];
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.group = last_group_;
+  s.prev = g.tail;
+  s.next = kNil;
+  if (g.tail != kNil) {
+    slots_[g.tail].next = slot;
+  } else {
+    g.head = slot;
+  }
+  g.tail = slot;
+  ++next_seq_;
   ++live_;
-  return EventId{(static_cast<std::uint64_t>(slots_[slot].gen) << 32) | slot};
+  return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
 }
 
 void EventQueue::cancel(EventId id) {
@@ -68,21 +116,18 @@ void EventQueue::cancel(EventId id) {
   Slot& s = slots_[slot];
   if (s.gen != gen || !s.cb) return;  // stale id, already fired, or cancelled
   s.cb = nullptr;
-  const std::uint32_t pos = s.pos;
   release(slot);
-  remove_at(pos);
   --live_;
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
   HC3I_CHECK(!empty(), "pop on empty queue");
-  const Entry top = heap_[0];
-  Callback cb = std::move(slots_[top.slot].cb);
-  slots_[top.slot].cb = nullptr;
-  release(top.slot);
-  remove_at(0);
+  const std::uint32_t slot = groups_[heap_[0].group].head;
+  // Moving the callable out leaves the slot's cb empty.
+  std::pair<SimTime, Callback> out{heap_[0].t, std::move(slots_[slot].cb)};
+  release(slot);
   --live_;
-  return {top.t, std::move(cb)};
+  return out;
 }
 
 }  // namespace hc3i::sim

@@ -2,25 +2,40 @@
 
 // Pending-event set for the discrete-event simulator.
 //
-// A 4-ary min-heap keyed on (time, sequence).  The sequence number makes
+// Events pop in (time, sequence) order.  The sequence number makes the
 // ordering of simultaneous events deterministic (FIFO in scheduling order),
 // which in turn makes whole simulations bit-reproducible — the property the
 // regression tests and the paper-reproduction benches depend on.
 //
+// The heap does not hold events; it holds *instant groups*.  A group is a
+// FIFO of event slots that share one time, and its heap key is (time,
+// sequence number of its first event).  A new event joins the group of the
+// most recently scheduled event when its time is equal and that group is
+// still pending; otherwise it starts a new group.  Consecutive schedules
+// are the only ones that share a group, so every group holds a contiguous
+// run of sequence numbers, same-time groups never interleave, and popping
+// groups in key order and each group in FIFO order yields exactly the
+// (time, sequence) order.  The shape this targets is the protocol fan-out:
+// a 2PC coordinator sends N-1 equal requests over identical links, all of
+// which arrive at one instant, and the acks do the same — one heap entry
+// and one sift for the whole fan-out instead of one per message.  An event
+// that joins a group costs O(1); a new group costs O(log pending groups).
+//
 // Callbacks live in a slab of recycled slots rather than a table that grows
 // with every event ever scheduled: a 10-simulated-hour run schedules tens of
 // millions of events but only keeps thousands pending, and the slab's memory
-// tracks the pending set, not the total.  Each slot carries a generation
-// stamp and EventId encodes (slot, generation), so an id that outlives its
-// event — a timer cancelling after its own firing, or after the slot was
-// recycled for a newer event — cancels nothing but is always safe.
+// tracks the pending set, not the total.  Groups recycle through a second
+// slab the same way, so a steady-state run allocates nothing.  Each slot
+// carries a generation stamp and EventId encodes (slot, generation), so an
+// id that outlives its event — a timer cancelling after its own firing, or
+// after the slot was recycled for a newer event — cancels nothing but is
+// always safe.
 //
-// Each slot also records its entry's current heap position, so cancel()
-// removes the entry immediately (O(log n) on a heap that only ever holds
-// live events).  Timers cancel and re-schedule constantly (CLC periods are
-// reset whenever a forced CLC commits, paper §5.2); with lazy cancellation
-// the dead entries pile up and every heap operation pays for them — eager
-// removal keeps the heap at the size of the genuinely pending set.
+// cancel() unlinks the slot from its group in O(1) and removes the group's
+// heap entry as soon as the group is empty.  Timers cancel and re-schedule
+// constantly (CLC periods are reset whenever a forced CLC commits, paper
+// §5.2); the heap only ever holds groups with a live event, so peek_time()
+// is always the time of a live event and no tombstones pile up.
 
 #include <cstdint>
 #include <vector>
@@ -82,20 +97,34 @@ class EventQueue {
   /// scheduled (bounded-memory regression checks use this).
   std::size_t slot_count() const { return slots_.size(); }
 
+  /// Pending instant groups, i.e. heap entries (structural tests use this).
+  std::size_t instant_count() const { return heap_.size(); }
+
  private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// Heap entry for one pending instant group.
   struct Entry {
     SimTime t;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t seq;  ///< sequence number of the group's first event
+    std::uint32_t group;
   };
 
   struct Slot {
-    Callback cb;            ///< empty == cancelled or already fired
-    std::uint32_t gen{1};   ///< bumped when the slot is recycled
-    std::uint32_t pos{0};   ///< heap index of this slot's entry (while live)
+    Callback cb;                 ///< empty == cancelled or already fired
+    std::uint32_t gen{1};        ///< bumped when the slot is recycled
+    std::uint32_t group{kNil};   ///< owning group (while live)
+    std::uint32_t prev{kNil};    ///< group FIFO links (while live)
+    std::uint32_t next{kNil};
   };
 
-  /// Heap order: earliest time first, scheduling order among equals.
+  struct Group {
+    std::uint32_t head{kNil};  ///< oldest live slot
+    std::uint32_t tail{kNil};  ///< newest live slot
+    std::uint32_t pos{0};      ///< heap index of this group's entry
+  };
+
+  /// Heap order: earliest time first, creation order among equals.
   static bool earlier(const Entry& a, const Entry& b) {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
@@ -105,20 +134,24 @@ class EventQueue {
   void sift_down(std::size_t i);
   /// Remove the entry at heap index `i`, restoring the heap invariant.
   void remove_at(std::size_t i);
-  /// Recycle a slot whose heap entry has been removed.
-  void release(std::uint32_t slot) {
-    ++slots_[slot].gen;
-    free_.push_back(slot);
-  }
-  /// Place `e` at heap index `i` and keep its slot's position current.
+  /// Start a new pending group at `t` and make it the join target.
+  void open_group(SimTime t);
+  /// Unlink a live slot from its group (dropping the group's heap entry
+  /// when it empties) and recycle the slot.
+  void release(std::uint32_t slot);
+  /// Place `e` at heap index `i` and keep its group's position current.
   void put(std::size_t i, const Entry& e) {
     heap_[i] = e;
-    slots_[e.slot].pos = static_cast<std::uint32_t>(i);
+    groups_[e.group].pos = static_cast<std::uint32_t>(i);
   }
 
-  std::vector<Entry> heap_;               ///< live entries only (4-ary heap)
+  std::vector<Entry> heap_;               ///< pending groups only (4-ary heap)
   std::vector<Slot> slots_;
+  std::vector<Group> groups_;
   std::vector<std::uint32_t> free_;       ///< recycled slot indices
+  std::vector<std::uint32_t> free_groups_;  ///< recycled group indices
+  std::uint32_t last_group_{kNil};  ///< group of the last schedule, if pending
+  SimTime last_t_{};                ///< its time
   std::uint64_t next_seq_{0};
   std::size_t live_{0};
 };

@@ -30,8 +30,12 @@ std::uint64_t Simulation::run_until(SimTime horizon) {
     ++executed_;
   }
   // Advance the clock to the horizon even if no event lands exactly there,
-  // so back-to-back run_until calls observe monotone time.
-  if (!horizon.is_infinite() && now_ < horizon) now_ = horizon;
+  // so back-to-back run_until calls observe monotone time — but only when
+  // nothing at or before the horizon is left: after request_stop() the
+  // pending events keep their times, and jumping past them would move the
+  // clock backwards when they fire.
+  const bool drained = queue_.empty() || queue_.peek_time() > horizon;
+  if (drained && !horizon.is_infinite() && now_ < horizon) now_ = horizon;
   return ran;
 }
 

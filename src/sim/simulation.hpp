@@ -40,9 +40,11 @@ class Simulation {
   /// Cancel a scheduled event (no-op if already fired/cancelled).
   void cancel(EventId id) { queue_.cancel(id); }
 
-  /// Run until the event queue empties or the clock passes `horizon`.
-  /// Events scheduled exactly at the horizon still run.  Returns the number
-  /// of events executed.
+  /// Run until the event queue empties, the clock passes `horizon`, or an
+  /// event calls request_stop().  Events scheduled exactly at the horizon
+  /// still run.  The clock ends at the horizon unless a stop left events at
+  /// or before it pending; then it stays at the last event run.  Returns the
+  /// number of events executed.
   std::uint64_t run_until(SimTime horizon);
 
   /// Run to completion (empty queue) — callers must guarantee termination.

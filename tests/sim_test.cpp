@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "sim/timer.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace hc3i::sim {
 namespace {
@@ -138,6 +143,145 @@ TEST(EventQueue, OrderPreservedUnderCancelChurn) {
   EXPECT_EQ(order, expected);
 }
 
+TEST(EventQueue, SameInstantFanOutSharesOneHeapEntry) {
+  // A 2PC fan-out: N-1 equal requests over identical links arrive at one
+  // instant.  They must cost one heap entry, not one per message.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(seconds(9), [&order] { order.push_back(-1); });
+  for (int i = 0; i < 99; ++i) {
+    q.schedule(seconds(5), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.size(), 100u);
+  EXPECT_EQ(q.instant_count(), 2u);
+  // A zero-delay schedule made while the group drains joins its tail.
+  q.pop().second();
+  q.schedule(seconds(5), [&order] { order.push_back(99); });
+  EXPECT_EQ(q.instant_count(), 2u);
+  // An intervening schedule at another time closes the group: a later
+  // same-time event starts a new one, which pops after it.
+  q.schedule(seconds(6), [&order] { order.push_back(-2); });
+  q.schedule(seconds(5), [&order] { order.push_back(100); });
+  EXPECT_EQ(q.instant_count(), 4u);
+  while (!q.empty()) q.pop().second();
+  ASSERT_EQ(order.size(), 103u);
+  for (int i = 0; i <= 100; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(order[101], -2);
+  EXPECT_EQ(order[102], -1);
+  EXPECT_EQ(q.instant_count(), 0u);
+}
+
+TEST(EventQueue, CancellingAGroupRetiresItsHeapEntry) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 3; ++i) ids.push_back(q.schedule(seconds(1), [] {}));
+  q.schedule(seconds(2), [] {});
+  EXPECT_EQ(q.instant_count(), 2u);
+  q.cancel(ids[1]);  // middle
+  q.cancel(ids[0]);  // head
+  EXPECT_EQ(q.peek_time(), seconds(1));
+  q.cancel(ids[2]);  // tail: the group is empty now
+  EXPECT_EQ(q.instant_count(), 1u);
+  EXPECT_EQ(q.peek_time(), seconds(2));
+  // The emptied group is no longer a join target.
+  q.schedule(seconds(1), [] {});
+  EXPECT_EQ(q.instant_count(), 2u);
+  EXPECT_EQ(q.peek_time(), seconds(1));
+}
+
+// Differential test: the grouped queue against a reference ordered set of
+// (time, sequence) over random operation sequences.  Times come from a
+// handful of values so ties, and therefore shared instant groups, dominate.
+// After every operation the size, the earliest time and every pop must
+// match the model.
+TEST(EventQueue, MatchesReferenceModel) {
+  using Key = std::pair<SimTime, std::uint64_t>;  // (time, sequence)
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueue q;
+    RngStream rng(seed, 3);
+    std::set<Key> model;
+    std::map<std::uint64_t, EventId> live;  // sequence -> id
+    std::vector<EventId> dead;              // fired or cancelled ids
+    std::vector<std::uint64_t> fired;
+    std::uint64_t next = 0;
+    SimTime now = SimTime::zero();
+
+    const auto schedule = [&](SimTime t) {
+      const std::uint64_t seq = next++;
+      live[seq] = q.schedule(t, [&fired, seq] { fired.push_back(seq); });
+      model.insert({t, seq});
+    };
+    const auto cancel = [&](const Key& k) {
+      q.cancel(live.at(k.second));
+      dead.push_back(live.at(k.second));
+      live.erase(k.second);
+      model.erase(k);
+    };
+    const auto pop = [&] {
+      const Key expect = *model.begin();
+      auto [t, cb] = q.pop();
+      cb();
+      EXPECT_EQ(t, expect.first);
+      EXPECT_EQ(fired.back(), expect.second);
+      model.erase(model.begin());
+      dead.push_back(live.at(expect.second));
+      live.erase(expect.second);
+      now = t;
+    };
+    // The pending events sharing the time of a random pending event, in
+    // sequence order.
+    const auto random_instant = [&] {
+      auto it = model.begin();
+      std::advance(it, static_cast<long>(rng.next_below(model.size())));
+      std::vector<Key> same;
+      for (auto j = model.lower_bound({it->first, 0});
+           j != model.end() && j->first == it->first; ++j) {
+        same.push_back(*j);
+      }
+      return same;
+    };
+
+    for (int op = 0; op < 600; ++op) {
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < 35 || model.empty()) {
+        const auto at = now + SimTime{static_cast<std::int64_t>(
+                                  rng.next_below(4))};
+        const auto n = 1 + rng.next_below(4);
+        for (std::uint64_t i = 0; i < n; ++i) schedule(at);
+      } else if (kind < 55) {
+        pop();
+        // Zero-delay schedules made while the instant drains.
+        if (rng.next_below(2) == 0) {
+          const auto n = 1 + rng.next_below(3);
+          for (std::uint64_t i = 0; i < n; ++i) schedule(now);
+        }
+      } else if (kind < 75) {
+        const std::vector<Key> same = random_instant();
+        switch (rng.next_below(3)) {
+          case 0: cancel(same.front()); break;
+          case 1: cancel(same[same.size() / 2]); break;
+          default: cancel(same.back()); break;
+        }
+      } else if (kind < 85) {
+        for (const Key& k : random_instant()) cancel(k);
+      } else if (!dead.empty()) {
+        // Stale ids: their slots have mostly been recycled by now.
+        q.cancel(dead[rng.next_below(dead.size())]);
+      }
+      ASSERT_EQ(q.size(), model.size()) << "op " << op;
+      if (!model.empty()) {
+        ASSERT_EQ(q.peek_time(), model.begin()->first) << "op " << op;
+      }
+      ASSERT_LE(q.instant_count(), q.size());
+      if (HasFailure()) return;
+    }
+    while (!model.empty()) pop();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.instant_count(), 0u);
+  }
+}
+
 TEST(EventQueue, PopOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW(q.pop(), CheckFailure);
@@ -218,6 +362,25 @@ TEST(Simulation, RequestStopBreaksLoop) {
   sim.run_all();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulation, RequestStopInsideRunUntilKeepsClock) {
+  // A stop that leaves events before the horizon pending must not move the
+  // clock to the horizon: those events would later fire "in the past".
+  Simulation sim;
+  std::vector<SimTime> at;
+  sim.schedule_at(seconds(1), [&] {
+    at.push_back(sim.now());
+    sim.request_stop();
+  });
+  sim.schedule_at(seconds(2), [&] { at.push_back(sim.now()); });
+  sim.run_until(seconds(10));
+  EXPECT_EQ(sim.now(), seconds(1));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(seconds(10));
+  ASSERT_EQ(at.size(), 2u);
+  EXPECT_EQ(at[1], seconds(2));
+  EXPECT_EQ(sim.now(), seconds(10));
 }
 
 TEST(Simulation, RngStreamsReproducible) {
