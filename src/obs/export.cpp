@@ -1,140 +1,259 @@
 #include "obs/export.hpp"
 
-#include <cinttypes>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string_view>
+#include <type_traits>
 
 namespace hc3i::obs {
 
 namespace {
 
-/// Append printf-formatted text to `out` (records are short; 256 covers
-/// every event line this exporter produces).
-template <typename... Args>
-void append_fmt(std::string& out, const char* fmt, Args... args) {
-  char buf[256];
-  const int n = std::snprintf(buf, sizeof buf, fmt, args...);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
+/// `v / 10^digits` rendered with exactly `digits` fraction digits, using
+/// integer math only, so output never depends on floating-point formatting.
+struct Fixed {
+  std::uint64_t v;
+  unsigned digits;
+};
+
+/// trace_event timestamps are microseconds: "<us>.<3-digit ns remainder>".
+constexpr Fixed us(std::uint64_t ns) { return Fixed{ns, 3}; }
+
+/// Formats output lines into a fixed stack buffer and appends each to the
+/// output once: fixed fragments by memcpy, integers by std::to_chars.
+///
+/// Everything passed to str() is fixed by the line's kind (names, keys,
+/// separators) and num()/fixed() have a widest rendering per argument
+/// type, so rendering into Width below bounds a kind's buffered bytes at
+/// compile time; the static_asserts check those bounds against kCap.  Text
+/// of unbounded length (campaign labels) bypasses the buffer via text().
+class Line {
+ public:
+  static constexpr std::size_t kCap = 256;
+
+  explicit Line(std::string& out) : out_(out) {}
+
+  void str(std::string_view s) {
+    std::memcpy(end_, s.data(), s.size());
+    end_ += s.size();
+  }
+  template <std::unsigned_integral T>
+  void num(T v) {
+    end_ = std::to_chars(end_, buf_ + kCap, v).ptr;
+  }
+  void fixed(Fixed f) {
+    std::uint64_t scale = 1;
+    for (unsigned i = 0; i < f.digits; ++i) scale *= 10;
+    num(f.v / scale);
+    *end_++ = '.';
+    std::uint64_t frac = f.v % scale;
+    for (char* p = end_ + f.digits; p != end_; frac /= 10) {
+      *--p = static_cast<char>('0' + frac % 10);
+    }
+    end_ += f.digits;
+  }
+  void text(std::string_view s) {
+    flush();
+    out_.append(s);
+  }
+  void flush() {
+    out_.append(buf_, static_cast<std::size_t>(end_ - buf_));
+    end_ = buf_;
+  }
+
+ private:
+  std::string& out_;
+  char buf_[kCap]{};
+  char* end_{buf_};
+};
+
+/// Measuring sink with Line's interface: each call adds the widest
+/// rendering its argument type allows.  text() adds nothing; callers count
+/// labels themselves.
+struct Width {
+  std::size_t n{0};
+
+  constexpr void str(std::string_view s) { n += s.size(); }
+  template <std::unsigned_integral T>
+  constexpr void num(T) {
+    n += std::numeric_limits<T>::digits10 + 1;
+  }
+  /// At most 20 digits in total, plus the point.
+  constexpr void fixed(Fixed) {
+    n += std::numeric_limits<std::uint64_t>::digits10 + 2;
+  }
+  constexpr void text(std::string_view) {}
+};
+
+/// Write `parts` in order: string literals and views as text, unsigned
+/// integers in decimal, Fixed as a fixed-point number.
+template <typename Out, typename... Parts>
+constexpr void put(Out& o, const Parts&... parts) {
+  const auto one = [&o](const auto& part) {
+    using P = std::remove_cvref_t<decltype(part)>;
+    if constexpr (std::is_same_v<P, Fixed>) {
+      o.fixed(part);
+    } else if constexpr (std::unsigned_integral<P>) {
+      o.num(part);
+    } else if constexpr (std::is_array_v<P>) {
+      o.str(std::string_view(part, std::extent_v<P> - 1));
+    } else {
+      o.str(part);
+    }
+  };
+  (one(parts), ...);
 }
 
-/// trace_event timestamps are microseconds; render the integer-ns SimTime
-/// as "<us>.<frac3>" with integer math only, so output never depends on
-/// floating-point formatting.
-void append_ts(std::string& out, SimTime t) {
-  const auto ns = static_cast<std::uint64_t>(t.ns);
-  append_fmt(out, "%" PRIu64 ".%03" PRIu64, ns / 1000u, ns % 1000u);
+template <typename Out>
+constexpr void put_head(Out& o, std::string_view name, std::string_view cat,
+                        std::string_view ph, const TraceRecord& r) {
+  put(o, "{\"name\":\"", name, "\",\"cat\":\"", cat, "\",\"ph\":\"", ph,
+      "\",\"pid\":0,\"tid\":", r.cluster, ",\"ts\":",
+      us(static_cast<std::uint64_t>(r.t.ns)));
 }
 
-void append_event_head(std::string& out, const char* name, const char* cat,
-                       const char* ph, const TraceRecord& r) {
-  append_fmt(out, "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",", name, cat,
-             ph);
-  append_fmt(out, "\"pid\":0,\"tid\":%u,\"ts\":", r.cluster);
-  append_ts(out, r.t);
-}
-
-void append_record(std::string& out, const TraceRecord& r) {
-  const char* name = to_label(r.kind);
+template <typename Out>
+constexpr void render_record(Out& o, const TraceRecord& r) {
+  const std::string_view name = to_label(r.kind);
   switch (r.kind) {
     case RecordKind::kClcRoundBegin:
-      append_event_head(out, name, "clc", "b", r);
-      append_fmt(out,
-                 ",\"id\":%" PRIu64 ",\"args\":{\"forced\":%" PRIu64 "}}",
-                 r.id, r.a);
+      put_head(o, name, "clc", "b", r);
+      put(o, ",\"id\":", r.id, ",\"args\":{\"forced\":", r.a, "}}");
       break;
     case RecordKind::kClcAck:
-      append_event_head(out, name, "clc", "i", r);
-      append_fmt(out,
-                 ",\"s\":\"t\",\"args\":{\"round\":%" PRIu64
-                 ",\"node\":%u,\"acks\":%" PRIu64 ",\"needed\":%" PRIu64 "}}",
-                 r.id, r.node, r.a, r.b);
+      put_head(o, name, "clc", "i", r);
+      put(o, ",\"s\":\"t\",\"args\":{\"round\":", r.id, ",\"node\":", r.node,
+          ",\"acks\":", r.a, ",\"needed\":", r.b, "}}");
       break;
     case RecordKind::kClcCommit:
       // Closes the async span opened by the matching kClcRoundBegin; the
       // name must equal the begin event's ("clc_round"), so the commit
       // payload rides in args.
-      append_event_head(out, "clc_round", "clc", "e", r);
-      append_fmt(out,
-                 ",\"id\":%" PRIu64 ",\"args\":{\"sn\":%" PRIu64
-                 ",\"forced\":%" PRIu64 "}}",
-                 r.id, r.a, r.b);
+      put_head(o, "clc_round", "clc", "e", r);
+      put(o, ",\"id\":", r.id, ",\"args\":{\"sn\":", r.a, ",\"forced\":", r.b,
+          "}}");
       break;
     case RecordKind::kCkptWrite:
     case RecordKind::kChainRead:
-      append_event_head(out, name, "storage", "X", r);
-      append_fmt(out, ",\"dur\":");
-      append_ts(out, SimTime{static_cast<std::int64_t>(r.b)});
-      append_fmt(out, ",\"args\":{\"node\":%u,\"bytes\":%" PRIu64 "}}", r.node,
-                 r.a);
+      put_head(o, name, "storage", "X", r);
+      put(o, ",\"dur\":", us(r.b), ",\"args\":{\"node\":", r.node,
+          ",\"bytes\":", r.a, "}}");
       break;
     case RecordKind::kFailure:
     case RecordKind::kNodeRestored:
-      append_event_head(out, name, "fault", "i", r);
-      append_fmt(out, ",\"s\":\"t\",\"args\":{\"node\":%u}}", r.node);
+      put_head(o, name, "fault", "i", r);
+      put(o, ",\"s\":\"t\",\"args\":{\"node\":", r.node, "}}");
       break;
     case RecordKind::kCampaignInject:
-      append_event_head(out, name, "fault", "i", r);
-      append_fmt(out, ",\"s\":\"t\",\"args\":{\"node\":%u,\"source\":\"%s\"}}",
-                 r.node, r.label != nullptr ? r.label : "");
+      put_head(o, name, "fault", "i", r);
+      put(o, ",\"s\":\"t\",\"args\":{\"node\":", r.node, ",\"source\":\"");
+      o.text(r.label != nullptr ? r.label : "");
+      put(o, "\"}}");
       break;
     case RecordKind::kRollbackBegin:
       // Async "recovery" span per cluster: a second fault into a recovering
       // cluster queues (federation invariant), so the cluster id is a valid
       // span id — spans on one track never overlap.
-      append_event_head(out, "recovery", "recovery", "b", r);
-      append_fmt(out, ",\"id\":%u,\"args\":{\"to_sn\":%" PRIu64 "}}",
-                 r.cluster, r.a);
+      put_head(o, "recovery", "recovery", "b", r);
+      put(o, ",\"id\":", r.cluster, ",\"args\":{\"to_sn\":", r.a, "}}");
       break;
     case RecordKind::kRecoveryEnd:
-      append_event_head(out, "recovery", "recovery", "e", r);
-      append_fmt(out, ",\"id\":%u}", r.cluster);
+      put_head(o, "recovery", "recovery", "e", r);
+      put(o, ",\"id\":", r.cluster, "}");
       break;
     case RecordKind::kGcRoundBegin:
-      append_event_head(out, name, "gc", "i", r);
-      append_fmt(out, ",\"s\":\"t\",\"args\":{\"round\":%" PRIu64 "}}", r.id);
+      put_head(o, name, "gc", "i", r);
+      put(o, ",\"s\":\"t\",\"args\":{\"round\":", r.id, "}}");
       break;
     case RecordKind::kGcPrune:
-      append_event_head(out, name, "gc", "i", r);
-      append_fmt(out,
-                 ",\"s\":\"t\",\"args\":{\"round\":%" PRIu64
-                 ",\"removed\":%" PRIu64 "}}",
-                 r.id, r.a);
+      put_head(o, name, "gc", "i", r);
+      put(o, ",\"s\":\"t\",\"args\":{\"round\":", r.id, ",\"removed\":", r.a,
+          "}}");
       break;
   }
 }
 
+template <typename Out>
+constexpr void render_sample(Out& o, const MetricsSample& s) {
+  put(o, Fixed{static_cast<std::uint64_t>(s.t.ns), 9}, "\t", s.clc_forced,
+      "\t", s.clc_total, "\t", s.in_flight, "\t", s.app_delivered, "\t",
+      s.log_resent_bytes, "\t", s.ckpt_bytes_written, "\t", s.ckpt_stall_us,
+      "\t", s.recovery_read_us, "\n");
+}
+
+constexpr std::string_view kTraceHead = "{\"traceEvents\":[";
+constexpr std::string_view kTraceTail = "\n],\"displayTimeUnit\":\"ms\"}\n";
+constexpr std::string_view kFirstSep = "\n";
+constexpr std::string_view kSep = ",\n";
+constexpr std::string_view kTsvHeader =
+    "time_s\tclc_forced\tclc_total\tin_flight\tapp_delivered\t"
+    "log_resent_bytes\tckpt_bytes_written\tckpt_stall_us\t"
+    "recovery_read_us\n";
+
+constexpr std::size_t kKinds =
+    static_cast<std::size_t>(RecordKind::kCampaignInject) + 1;
+
+/// Buffered bytes of one trace line per record kind, separator included.
+constexpr std::array<std::size_t, kKinds> kLineBound = [] {
+  std::array<std::size_t, kKinds> bound{};
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    Width w;
+    TraceRecord r;
+    r.kind = static_cast<RecordKind>(k);
+    render_record(w, r);
+    bound[k] = kSep.size() + w.n;
+  }
+  return bound;
+}();
+static_assert(*std::max_element(kLineBound.begin(), kLineBound.end()) <=
+              Line::kCap);
+
+constexpr std::size_t kRowBound = [] {
+  Width w;
+  render_sample(w, MetricsSample{});
+  return w.n;
+}();
+static_assert(kRowBound <= Line::kCap);
+
 }  // namespace
 
 std::string trace_json(const Recording& rec) {
-  std::string out;
-  out.reserve(128 + rec.recorder.records().size() * 96);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  rec.recorder.records().for_each([&](const TraceRecord& r) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n";
-    append_record(out, r);
+  const TraceBuffer& records = rec.recorder.records();
+  // One reservation covering the widest rendering of every record, so the
+  // string never reallocates; pages past what is written stay untouched.
+  std::size_t bound = kTraceHead.size() + kTraceTail.size();
+  records.for_each([&](const TraceRecord& r) {
+    bound += kLineBound[static_cast<std::size_t>(r.kind)];
+    if (r.label != nullptr) bound += std::strlen(r.label);
   });
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  std::string out;
+  out.reserve(bound);
+  out += kTraceHead;
+  Line line(out);
+  std::string_view sep = kFirstSep;
+  records.for_each([&](const TraceRecord& r) {
+    line.str(sep);
+    sep = kSep;
+    render_record(line, r);
+    line.flush();
+  });
+  out += kTraceTail;
   return out;
 }
 
 std::string metrics_tsv(const Recording& rec) {
   std::string out;
-  out.reserve(64 + rec.samples.size() * 80);
-  out +=
-      "time_s\tclc_forced\tclc_total\tin_flight\tapp_delivered\t"
-      "log_resent_bytes\tckpt_bytes_written\tckpt_stall_us\t"
-      "recovery_read_us\n";
+  out.reserve(kTsvHeader.size() + rec.samples.size() * kRowBound);
+  out += kTsvHeader;
+  Line line(out);
   for (const MetricsSample& s : rec.samples) {
-    const auto ns = static_cast<std::uint64_t>(s.t.ns);
-    append_fmt(out,
-               "%" PRIu64 ".%09" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64
-               "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64
-               "\n",
-               ns / 1'000'000'000u, ns % 1'000'000'000u, s.clc_forced,
-               s.clc_total, s.in_flight, s.app_delivered, s.log_resent_bytes,
-               s.ckpt_bytes_written, s.ckpt_stall_us, s.recovery_read_us);
+    render_sample(line, s);
+    line.flush();
   }
   return out;
 }

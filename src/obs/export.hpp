@@ -13,6 +13,9 @@
 // Both renderings are pure functions of the recording — integer-only
 // timestamp formatting, emission-order traversal — so a fixed seed yields
 // byte-identical output (CI compares two same-seed passes with cmp).
+// Each line is formatted into a bounded stack buffer and appended once to
+// a string reserved up front from per-kind worst-case line lengths, so
+// rendering never reallocates the output.
 
 #include <string>
 

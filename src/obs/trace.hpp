@@ -46,7 +46,36 @@ enum class RecordKind : std::uint8_t {
 };
 
 /// Stable lowercase event name for exports ("clc_round", "ckpt_write", ...).
-const char* to_label(RecordKind k);
+/// constexpr so the exporter can bound each kind's line at compile time.
+constexpr const char* to_label(RecordKind k) {
+  switch (k) {
+    case RecordKind::kClcRoundBegin:
+      return "clc_round";
+    case RecordKind::kClcAck:
+      return "clc_ack";
+    case RecordKind::kClcCommit:
+      return "clc_commit";
+    case RecordKind::kCkptWrite:
+      return "ckpt_write";
+    case RecordKind::kChainRead:
+      return "chain_read";
+    case RecordKind::kFailure:
+      return "failure";
+    case RecordKind::kNodeRestored:
+      return "node_restored";
+    case RecordKind::kRollbackBegin:
+      return "rollback";
+    case RecordKind::kRecoveryEnd:
+      return "recovery_end";
+    case RecordKind::kGcRoundBegin:
+      return "gc_round";
+    case RecordKind::kGcPrune:
+      return "gc_prune";
+    case RecordKind::kCampaignInject:
+      return "inject";
+  }
+  return "unknown";
+}
 
 /// One fixed-layout trace record.  `label`, when set, always points at a
 /// string literal (campaign source names), never at owned storage.

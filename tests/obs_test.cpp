@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "config/presets.hpp"
@@ -172,6 +174,114 @@ TEST(Export, MetricsTsvHeaderAndRows) {
   const std::string tsv = obs::metrics_tsv(rec);
   EXPECT_EQ(tsv.rfind("time_s\t", 0), 0u);
   EXPECT_NE(tsv.find("\n30.000000000\t0\t4\t2\t"), std::string::npos);
+}
+
+// The two tests below pin the exporters' exact bytes with boundary values
+// (zero and all-ones fields, every 3-digit ns remainder shape, the largest
+// SimTime, a null and a set label).  A round-begin record keeps a small
+// cluster id: the Recorder indexes its open-round table by cluster.
+TEST(Export, EveryRecordKindRendersExactly) {
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr auto kMaxNs = std::numeric_limits<std::int64_t>::max();
+  using K = obs::RecordKind;
+  obs::Recording rec;
+  obs::Recorder& r = rec.recorder;
+  r.emit(K::kClcRoundBegin, nanoseconds(0), 0, kU32, kU64, kU64, kU64);
+  r.emit(K::kClcAck, nanoseconds(1'000'007), kU32, kU32, kU64, kU64, kU64);
+  r.emit(K::kClcCommit, nanoseconds(999), kU32, 0, kU64, kU64, kU64);
+  r.emit(K::kCkptWrite, nanoseconds(2'000'000), 3, kU32, 0, kU64, 1'500'042);
+  r.emit(K::kChainRead, seconds(3), 0, 7, 0, 0, kU64);
+  r.emit(K::kFailure, nanoseconds(4'000'000'010), kU32, kU32, 0);
+  r.emit(K::kNodeRestored, nanoseconds(5'000'000'100), 1, 12, 0);
+  r.emit(K::kRollbackBegin, seconds(6), kU32, 0, 0, kU64);
+  r.emit(K::kRecoveryEnd, seconds(7), kU32, 0, 0);
+  r.emit(K::kGcRoundBegin, seconds(8), 0, 0, kU64);
+  r.emit(K::kGcPrune, seconds(9), 0, 0, kU64, kU64);
+  r.emit(K::kCampaignInject, nanoseconds(kMaxNs), 2, kU32, 0, 0, 0, nullptr);
+  r.emit(K::kCampaignInject, nanoseconds(10'000'000'001), 2, 5, 0, 0, 0,
+         "stream");
+  const std::string expected =
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"clc_round\",\"cat\":\"clc\",\"ph\":\"b\",\"pid\":0,"
+      "\"tid\":0,\"ts\":0.000,\"id\":18446744073709551615,"
+      "\"args\":{\"forced\":18446744073709551615}},\n"
+      "{\"name\":\"clc_ack\",\"cat\":\"clc\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":4294967295,\"ts\":1000.007,\"s\":\"t\","
+      "\"args\":{\"round\":18446744073709551615,\"node\":4294967295,"
+      "\"acks\":18446744073709551615,\"needed\":18446744073709551615}},\n"
+      "{\"name\":\"clc_round\",\"cat\":\"clc\",\"ph\":\"e\",\"pid\":0,"
+      "\"tid\":4294967295,\"ts\":0.999,\"id\":18446744073709551615,"
+      "\"args\":{\"sn\":18446744073709551615,"
+      "\"forced\":18446744073709551615}},\n"
+      "{\"name\":\"ckpt_write\",\"cat\":\"storage\",\"ph\":\"X\",\"pid\":0,"
+      "\"tid\":3,\"ts\":2000.000,\"dur\":1500.042,"
+      "\"args\":{\"node\":4294967295,\"bytes\":18446744073709551615}},\n"
+      "{\"name\":\"chain_read\",\"cat\":\"storage\",\"ph\":\"X\",\"pid\":0,"
+      "\"tid\":0,\"ts\":3000000.000,\"dur\":18446744073709551.615,"
+      "\"args\":{\"node\":7,\"bytes\":0}},\n"
+      "{\"name\":\"failure\",\"cat\":\"fault\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":4294967295,\"ts\":4000000.010,\"s\":\"t\","
+      "\"args\":{\"node\":4294967295}},\n"
+      "{\"name\":\"node_restored\",\"cat\":\"fault\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":1,\"ts\":5000000.100,\"s\":\"t\",\"args\":{\"node\":12}},\n"
+      "{\"name\":\"recovery\",\"cat\":\"recovery\",\"ph\":\"b\",\"pid\":0,"
+      "\"tid\":4294967295,\"ts\":6000000.000,\"id\":4294967295,"
+      "\"args\":{\"to_sn\":18446744073709551615}},\n"
+      "{\"name\":\"recovery\",\"cat\":\"recovery\",\"ph\":\"e\",\"pid\":0,"
+      "\"tid\":4294967295,\"ts\":7000000.000,\"id\":4294967295},\n"
+      "{\"name\":\"gc_round\",\"cat\":\"gc\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":0,\"ts\":8000000.000,\"s\":\"t\","
+      "\"args\":{\"round\":18446744073709551615}},\n"
+      "{\"name\":\"gc_prune\",\"cat\":\"gc\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":0,\"ts\":9000000.000,\"s\":\"t\","
+      "\"args\":{\"round\":18446744073709551615,"
+      "\"removed\":18446744073709551615}},\n"
+      "{\"name\":\"inject\",\"cat\":\"fault\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":2,\"ts\":9223372036854775.807,\"s\":\"t\","
+      "\"args\":{\"node\":4294967295,\"source\":\"\"}},\n"
+      "{\"name\":\"inject\",\"cat\":\"fault\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":2,\"ts\":10000000.001,\"s\":\"t\","
+      "\"args\":{\"node\":5,\"source\":\"stream\"}}\n"
+      "],\"displayTimeUnit\":\"ms\"}\n";
+  EXPECT_EQ(obs::trace_json(rec), expected);
+}
+
+TEST(Export, MetricsTsvRendersExactly) {
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
+  obs::Recording rec;
+  rec.samples.push_back({nanoseconds(1'234'567'891), kU64, kU64, kU64, kU64,
+                         kU64, kU64, kU64, kU64});
+  rec.samples.push_back({});
+  obs::MetricsSample late;
+  late.t = nanoseconds(std::numeric_limits<std::int64_t>::max());
+  late.in_flight = 7;
+  rec.samples.push_back(late);
+  std::string full_row = "1.234567891";
+  for (int i = 0; i < 8; ++i) full_row += "\t18446744073709551615";
+  const std::string expected =
+      "time_s\tclc_forced\tclc_total\tin_flight\tapp_delivered\t"
+      "log_resent_bytes\tckpt_bytes_written\tckpt_stall_us\t"
+      "recovery_read_us\n" +
+      full_row +
+      "\n"
+      "0.000000000\t0\t0\t0\t0\t0\t0\t0\t0\n"
+      "9223372036.854775807\t0\t0\t7\t0\t0\t0\t0\t0\n";
+  EXPECT_EQ(obs::metrics_tsv(rec), expected);
+}
+
+// A label longer than any fixed line buffer is written whole, not cut short
+// or read past the end of a buffer.
+TEST(Export, LongInjectLabelIsWrittenWhole) {
+  const std::string label(1000, 'x');
+  obs::Recording rec;
+  rec.recorder.emit(obs::RecordKind::kCampaignInject, seconds(1), 0, 4, 0, 0,
+                    0, label.c_str());
+  rec.recorder.emit(obs::RecordKind::kFailure, seconds(1), 0, 4, 0);
+  const std::string json = obs::trace_json(rec);
+  EXPECT_NE(json.find("\"args\":{\"node\":4,\"source\":\"" + label +
+                      "\"}},\n{\"name\":\"failure\""),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
