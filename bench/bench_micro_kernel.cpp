@@ -37,7 +37,7 @@
 // Each kernel also reports an allocations-per-op proxy: the bench overrides
 // global operator new/delete with counting shims, so the steady-state heap
 // traffic of the hot path is a first-class regression number next to the
-// rate.  The events, msgs, msgs_ddv, trace_off and trace_emit kernels are
+// rate.  The events, msgs, msgs_ddv and trace_off kernels are
 // zero-allocation invariants, not trends: each takes its allocation
 // baseline after a warm-up and the process exits non-zero on any
 // steady-state allocation.
@@ -118,7 +118,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/walltime.hpp"
 
@@ -369,24 +368,18 @@ KernelResult bench_scale_fed_faulty(std::uint64_t seed, std::size_t clusters,
                       g_alloc_bytes - bytes0};
 }
 
-/// Tracing-off kernel: the trace level sits at kStats (the default) while
-/// the emission sites fire at kProtocol, and the structured-trace recorder
-/// pointer is null — the exact state of every production golden run.  The
-/// tiers' whole contract is that this costs nothing, so the kernel asserts
-/// zero allocations outright (an invariant, not a trend number) and the
-/// process exits non-zero on violation.
+/// Tracing-off kernel: the structured-trace recorder pointer is null — the
+/// exact state of every production golden run.  The trace's whole contract
+/// is that this costs nothing, so the kernel asserts zero allocations
+/// outright (an invariant, not a trend number) and the process exits
+/// non-zero on violation.
 KernelResult bench_trace_off(std::uint64_t ops) {
-  if (Trace::level() != TraceLevel::kStats) {
-    std::fprintf(stderr, "trace_off kernel: expected default kStats level\n");
-    std::exit(1);
-  }
   obs::Recorder* rec = nullptr;  // tracing off: AgentContext carries null
   std::uint64_t sunk = 0;
   const double t0 = now_sec();
   const std::uint64_t allocs0 = g_allocs;
   for (std::uint64_t i = 0; i < ops; ++i) {
     const SimTime now{static_cast<std::int64_t>(i)};
-    HC3I_TRACE(kProtocol, now, "never formatted " << i);
     HC3I_OBS(rec, obs::RecordKind::kClcCommit, now, 0, 0, i);
     sunk += i;
   }
@@ -394,34 +387,6 @@ KernelResult bench_trace_off(std::uint64_t ops) {
   const std::uint64_t allocs = g_allocs - allocs0;
   require_zero_allocs("trace_off", allocs);
   if (sunk == 0 && ops > 1) std::fprintf(stderr, "trace_off: loop elided?\n");
-  return KernelResult{ops, elapsed, allocs};
-}
-
-/// Steady-state text-trace emission: level kAction, a counting sink, one
-/// representative line.  After a short warm-up (the reused line buffer
-/// grows once), emitting must not allocate at all — the regression this
-/// guards is Trace::emit rebuilding a std::string per line.
-KernelResult bench_trace_emit(std::uint64_t ops) {
-  const TraceLevel saved = Trace::level();
-  Trace::set_level(TraceLevel::kAction);
-  std::uint64_t lines = 0;
-  Trace::set_sink([&lines](const std::string&) { ++lines; });
-  const std::string line = "node 42 sent 1024B to node 17 (app_seq 12345)";
-  for (int i = 0; i < 64; ++i) {
-    Trace::emit(TraceLevel::kAction, seconds(i), line);
-  }
-  const double t0 = now_sec();
-  const std::uint64_t allocs0 = g_allocs;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    Trace::emit(TraceLevel::kAction, SimTime{static_cast<std::int64_t>(i)},
-                line);
-  }
-  const double elapsed = now_sec() - t0;
-  const std::uint64_t allocs = g_allocs - allocs0;
-  Trace::set_sink({});
-  Trace::set_level(saved);
-  require_zero_allocs("trace_emit", allocs);
-  if (lines != ops + 64) std::fprintf(stderr, "trace_emit: lost lines?\n");
   return KernelResult{ops, elapsed, allocs};
 }
 
@@ -463,12 +428,10 @@ int main(int argc, char** argv) {
   KernelResult events, msgs, msgs_ddv, whole, scale_half, scale_full;
   KernelResult faulty_half, faulty_full, overlap_full;
   FaultStats faults_half, faults_full, faults_overlap;
-  // Alloc-audit kernels first (they assert, not just report): tracing off
-  // must cost nothing, steady-state emission must reuse its buffer.
+  // Alloc-audit kernel first (it asserts, not just reports): tracing off
+  // must cost nothing.
   const KernelResult trace_off = bench_trace_off(
       static_cast<std::uint64_t>(1'000'000 * scale));
-  const KernelResult trace_emit = bench_trace_emit(
-      static_cast<std::uint64_t>(200'000 * scale));
   const auto fold = [](KernelResult& acc, const KernelResult& r) {
     acc.ops += r.ops;
     acc.elapsed_sec += r.elapsed_sec;
@@ -544,9 +507,6 @@ int main(int argc, char** argv) {
               faults_overlap.mean_latency_s());
   std::printf("trace_off : %12.0f sites/sec   (%.4f allocs/op, asserted 0)\n",
               trace_off.rate(), trace_off.allocs_per_op());
-  std::printf("trace_emit: %12.0f lines/sec   (%.4f allocs/line, asserted 0 "
-              "steady-state)\n",
-              trace_emit.rate(), trace_emit.allocs_per_op());
   std::printf("peak RSS  : %ld KB\n", peak_rss_kb());
 
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -621,8 +581,7 @@ int main(int argc, char** argv) {
   kernel_json("scale_fed", scale_full, ",");
   kernel_json("scale_fed_faulty", faulty_full, ",");
   kernel_json("scale_fed_overlap", overlap_full, ",");
-  kernel_json("trace_off", trace_off, ",");
-  kernel_json("trace_emit", trace_emit, "");
+  kernel_json("trace_off", trace_off, "");
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());

@@ -5,7 +5,7 @@
 //   ./hc3i_sim <topology.conf> <application.conf> <timers.conf>
 //              [--seed=1] [--protocol=hc3i|independent|global|hier|pessimistic]
 //              [--failures] [--campaign=<campaign.conf>]
-//              [--trace=stats|protocol|action] [--csv]
+//              [--trace=stats|protocol] [--csv]
 //              [--trace-out=<trace.json>] [--metrics-out=<metrics.tsv>]
 //              [--metrics-interval=<dur>]
 //
@@ -20,11 +20,12 @@
 // are byte-reproducible for a fixed seed; see docs/observability.md.
 //
 // Prints the end-of-run statistics block (the simulator's "lowest output",
-// per the paper); --trace=action shows "each node time-stamped action".
-// Try it on the committed reference files:
+// per the paper); --trace=protocol also prints every recorded protocol
+// event (CLC rounds and commits, failures, rollbacks, GC) as time-stamped
+// text on stderr.  Try it on the committed reference files:
 //
 //   ./hc3i_sim configs/paper/topology.conf configs/paper/application.conf \
-//              configs/paper/timers.conf
+//              configs/paper/timers.conf --trace=protocol
 
 #include <cstdio>
 
@@ -33,7 +34,6 @@
 #include "driver/run.hpp"
 #include "obs/export.hpp"
 #include "util/flags.hpp"
-#include "util/log.hpp"
 #include "util/quantity.hpp"
 
 using namespace hc3i;
@@ -50,14 +50,6 @@ driver::ProtocolKind parse_protocol(const std::string& name) {
   return driver::ProtocolKind::kHc3i;
 }
 
-TraceLevel parse_trace(const std::string& name) {
-  if (name == "stats") return TraceLevel::kStats;
-  if (name == "protocol") return TraceLevel::kProtocol;
-  if (name == "action") return TraceLevel::kAction;
-  HC3I_CHECK(false, "unknown --trace: " + name + " (stats|protocol|action)");
-  return TraceLevel::kStats;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,7 +64,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    Trace::set_level(parse_trace(flags.get("trace", "stats")));
+    const std::string trace = flags.get("trace", "stats");
+    HC3I_CHECK(trace == "stats" || trace == "protocol",
+               "unknown --trace: " + trace + " (stats|protocol)");
+    const bool protocol_text = trace == "protocol";
 
     driver::RunOptions opts;
     opts.spec = config::load_run_spec(flags.positional()[0],
@@ -90,7 +85,7 @@ int main(int argc, char** argv) {
 
     const std::string trace_out = flags.get("trace-out", "");
     const std::string metrics_out = flags.get("metrics-out", "");
-    opts.trace = !trace_out.empty();
+    opts.trace = protocol_text || !trace_out.empty();
     const std::string interval_text = flags.get("metrics-interval", "");
     if (!interval_text.empty()) {
       const auto parsed = parse_duration(interval_text);
@@ -103,6 +98,9 @@ int main(int argc, char** argv) {
 
     const driver::RunResult result = driver::run_simulation(opts);
     if (result.obs != nullptr) {
+      if (protocol_text) {
+        std::fputs(obs::trace_text(*result.obs).c_str(), stderr);
+      }
       if (!trace_out.empty()) {
         HC3I_CHECK(obs::write_text_file(trace_out, obs::trace_json(*result.obs)),
                    "cannot write " + trace_out);

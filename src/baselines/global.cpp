@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "proto/payload_pool.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::baselines {
 
@@ -315,15 +314,13 @@ void GlobalAgent::on_message(const net::Envelope& env) {
 void GlobalAgent::on_failure_detected(NodeId failed) {
   named_stat(stat_rollback_faults_, "rollback.faults").inc();
   (void)failed;
-  global_rollback(/*fault_origin=*/true, cluster());
+  global_rollback(cluster());
 }
 
-void GlobalAgent::global_rollback(bool fault_origin, ClusterId fault_cluster) {
+void GlobalAgent::global_rollback(ClusterId fault_cluster) {
   const Incarnation new_inc = rt_.bump_incarnation();
   HC3I_CHECK(!rt_.store(ClusterId{0}).empty(), "no global checkpoint");
   const SeqNum target_sn = rt_.store(ClusterId{0}).last().sn;
-  HC3I_TRACE(kProtocol, now(),
-             "GLOBAL rollback to sn=" << target_sn << " inc=" << new_inc);
 
   // Everything in flight belongs to the undone epoch.
   ctx_.network->drop_in_flight(
@@ -340,14 +337,16 @@ void GlobalAgent::global_rollback(bool fault_origin, ClusterId fault_cluster) {
     named_summary(stat_rollback_depth_, "rollback.depth_clcs")
         .add(static_cast<double>(sn_ - rec.sn));
     const std::uint32_t base = ctx_.topology->first_node(cid).v;
+    // Only the fault cluster's recovery span is closed (recovery_done
+    // below); every other cluster is dragged back like an alert rollback.
+    HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), cid.v, base,
+             new_inc, rec.sn, cid == fault_cluster ? 0 : 1);
     for (std::uint32_t i = 0; i < ctx_.topology->cluster_size(cid); ++i) {
       rt_.agents()[base + i]->apply_rollback(rec, new_inc);
     }
   }
-  if (fault_origin) {
-    pending_fault_recovery_ = true;
-    pending_fault_cluster_ = fault_cluster;
-  }
+  pending_fault_recovery_ = true;
+  pending_fault_cluster_ = fault_cluster;
 
   // Resume all clusters after the slowest state transfer; re-inject the
   // global channel afterwards.

@@ -131,7 +131,7 @@ class GlobalAgent final : public proto::AgentBase {
   void handle_commit(const GCommit& m);
   void take_tentative(std::uint64_t round);
   void commit_round();
-  void global_rollback(bool fault_origin, ClusterId fault_cluster);
+  void global_rollback(ClusterId fault_cluster);
   void apply_rollback(const proto::ClcRecord& rec, Incarnation new_inc);
   void resume(const proto::ClcRecord& rec);
   SimTime restore_delay() const;

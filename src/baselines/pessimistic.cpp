@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "proto/payload_pool.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::baselines {
 
@@ -96,6 +95,9 @@ void PessimisticAgent::on_failure_detected(NodeId failed) {
   ctx_.registry->inc("rollback.faults");
   ctx_.registry->inc("rollback.count");
   ctx_.registry->inc("rollback.nodes");  // node-scope rollback
+  // Node scope: no cluster SN is restored, so to_sn is 0.
+  HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), cluster().v,
+           failed.v, 0, 0, 0);
   PessimisticAgent* victim = rt_.agents()[failed.v];
   victim->restore_failed_node();
 }

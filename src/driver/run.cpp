@@ -8,7 +8,6 @@
 #include "fed/federation.hpp"
 #include "hc3i/agent.hpp"
 #include "obs/sampler.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::driver {
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/log.hpp"
-
 namespace hc3i::fed {
 
 Federation::Federation(sim::Simulation& sim, config::RunSpec spec,
@@ -87,8 +85,6 @@ void Federation::inject_failure(NodeId victim) {
   ++recoveries_in_flight_;
   ++failures_;
   registry_.inc("fault.injected");
-  HC3I_TRACE(kProtocol, sim_.now(),
-             "FAILURE node " << victim.v << " (cluster " << c.v << ")");
   HC3I_OBS(recorder_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
   network_.set_node_down(victim);
 
@@ -108,7 +104,6 @@ void Federation::inject_failure(NodeId victim) {
 }
 
 void Federation::recovery_complete(ClusterId c) {
-  HC3I_TRACE(kProtocol, sim_.now(), "RECOVERY complete (cluster " << c.v << ")");
   HC3I_OBS(recorder_, obs::RecordKind::kRecoveryEnd, sim_.now(), c.v, 0, 0);
   registry_.inc("fault.recovery_complete");
   if (recovery_pending_[c.v]) {

@@ -5,7 +5,6 @@
 
 #include "obs/trace.hpp"
 #include "proto/payload_pool.hpp"
-#include "util/log.hpp"
 
 namespace hc3i::core {
 
@@ -357,9 +356,6 @@ void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
   auto req = proto::make_pooled<ClcRequest>();
   req->round = active_round_id_;
   req->inc = inc_;
-  HC3I_TRACE(kProtocol, now(),
-             "C" << cluster().v << " CLC round " << active_round_id_
-                 << (reason == RoundReason::kForced ? " (forced)" : " (timer)"));
   HC3I_OBS(ctx_.obs, obs::RecordKind::kClcRoundBegin, now(), cluster().v,
            self().v, active_round_id_,
            reason == RoundReason::kForced ? 1 : 0);
@@ -538,8 +534,6 @@ void Hc3iAgent::coordinator_commit_round() {
   }
   stat(stat_store_max_clcs_, "store.max_clcs").raise(store().size());
   stat(stat_store_max_bytes_, "store.max_bytes").raise(store().storage_bytes());
-  HC3I_TRACE(kProtocol, now(), "C" << cluster().v << " commit CLC sn=" << new_sn
-                                   << " ddv=" << new_ddv.to_string());
   HC3I_OBS(ctx_.obs, obs::RecordKind::kClcCommit, now(), cluster().v, self().v,
            active_round_id_, static_cast<std::uint64_t>(new_sn),
            round_reason_ == RoundReason::kForced ? 1 : 0);
@@ -639,16 +633,8 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
       .inc(ctx_.topology->cluster_size(c));
   named_summary(stat_rollback_depth_, "rollback.depth_clcs")
       .add(static_cast<double>(sn_ - rec.sn));
-  HC3I_TRACE(kProtocol, now(), "C" << c.v << " ROLLBACK to sn=" << rec.sn
-                                   << " inc=" << new_inc
-                                   << (fault_origin ? " (fault)" : " (alert)"));
-  if (fault_origin) {
-    // Alert-triggered rollbacks piggyback on another cluster's recovery
-    // window; only the faulted cluster opens a recovery span (closed by
-    // Federation::recovery_complete).
-    HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), c.v, self().v, 0,
-             static_cast<std::uint64_t>(rec.sn));
-  }
+  HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), c.v, self().v,
+           new_inc, rec.sn, fault_origin ? 0 : 1);
 
   // 1. Drop this cluster's stale intra-cluster traffic (app and control) —
   //    except rollback-alert relays: they carry epoch-independent knowledge
@@ -847,7 +833,6 @@ void Hc3iAgent::on_gc_timer() {
   gc_metas_.assign(rt_.cluster_count(), std::nullopt);
   gc_responses_ = 0;
   ctx_.registry->inc("gc.rounds");
-  HC3I_TRACE(kProtocol, now(), "GC round " << gc_round_ << " start");
   HC3I_OBS(ctx_.obs, obs::RecordKind::kGcRoundBegin, now(), cluster().v,
            self().v, gc_round_);
   auto req = proto::make_pooled<GcRequest>();
@@ -919,10 +904,8 @@ void Hc3iAgent::handle_gc_collect(const GcCollect& m) {
   const std::size_t after = store().size();
   rt_.record_gc(now(), cluster(), before, after);
   stat(stat_gc_removed_, "gc.clcs_removed").inc(removed);
-  HC3I_TRACE(kProtocol, now(), "C" << cluster().v << " GC prune: " << before
-                                   << " -> " << after);
   HC3I_OBS(ctx_.obs, obs::RecordKind::kGcPrune, now(), cluster().v, self().v,
-           m.gc_round, removed);
+           m.gc_round, removed, after);
   auto prune = proto::make_pooled<GcPrune>();
   prune->min_sns = m.min_sns;
   broadcast_control(cluster(),

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "util/log.hpp"
-
 namespace hc3i::net {
 
 Network::Network(sim::Simulation& sim, const Topology& topo,

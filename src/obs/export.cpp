@@ -10,6 +10,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "util/time.hpp"
+
 namespace hc3i::obs {
 
 namespace {
@@ -57,6 +59,9 @@ class Line {
     }
     end_ += f.digits;
   }
+  void stamp(SimTime t) {
+    end_ += format_time(t, end_, static_cast<std::size_t>(buf_ + kCap - end_));
+  }
   void text(std::string_view s) {
     flush();
     out_.append(s);
@@ -87,17 +92,22 @@ struct Width {
   constexpr void fixed(Fixed) {
     n += std::numeric_limits<std::uint64_t>::digits10 + 2;
   }
+  /// format_time's widest rendering, NUL excluded.
+  constexpr void stamp(SimTime) { n += kTimeBufSize - 1; }
   constexpr void text(std::string_view) {}
 };
 
 /// Write `parts` in order: string literals and views as text, unsigned
-/// integers in decimal, Fixed as a fixed-point number.
+/// integers in decimal, Fixed as a fixed-point number, SimTime as
+/// format_time renders it.
 template <typename Out, typename... Parts>
 constexpr void put(Out& o, const Parts&... parts) {
   const auto one = [&o](const auto& part) {
     using P = std::remove_cvref_t<decltype(part)>;
     if constexpr (std::is_same_v<P, Fixed>) {
       o.fixed(part);
+    } else if constexpr (std::is_same_v<P, SimTime>) {
+      o.stamp(part);
     } else if constexpr (std::unsigned_integral<P>) {
       o.num(part);
     } else if constexpr (std::is_array_v<P>) {
@@ -156,9 +166,18 @@ constexpr void render_record(Out& o, const TraceRecord& r) {
       put(o, "\"}}");
       break;
     case RecordKind::kRollbackBegin:
-      // Async "recovery" span per cluster: a second fault into a recovering
-      // cluster queues (federation invariant), so the cluster id is a valid
-      // span id — spans on one track never overlap.
+      if (r.b != 0) {
+        // Alert-triggered: the cluster rolls back inside another cluster's
+        // recovery window, so it gets an instant, not a span of its own.
+        put_head(o, name, "recovery", "i", r);
+        put(o, ",\"s\":\"t\",\"args\":{\"to_sn\":", r.a, ",\"inc\":", r.id,
+            "}}");
+        break;
+      }
+      // Fault-triggered: an async "recovery" span per cluster, closed by
+      // kRecoveryEnd.  A second fault into a recovering cluster queues
+      // (federation invariant), so the cluster id is a valid span id —
+      // spans on one track never overlap.
       put_head(o, "recovery", "recovery", "b", r);
       put(o, ",\"id\":", r.cluster, ",\"args\":{\"to_sn\":", r.a, "}}");
       break;
@@ -176,6 +195,57 @@ constexpr void render_record(Out& o, const TraceRecord& r) {
           "}}");
       break;
   }
+}
+
+/// The paper's §5.1 protocol-level text: one line per record, prefixed
+/// with the simulated time.
+template <typename Out>
+constexpr void render_text(Out& o, const TraceRecord& r) {
+  put(o, "[", r.t, "] ");
+  switch (r.kind) {
+    case RecordKind::kClcRoundBegin:
+      put(o, "C", r.cluster, " CLC round ", r.id,
+          r.a != 0 ? " (forced)" : " (timer)");
+      break;
+    case RecordKind::kClcAck:
+      put(o, "C", r.cluster, " CLC round ", r.id, " ack from node ", r.node,
+          " (", r.a, "/", r.b, ")");
+      break;
+    case RecordKind::kClcCommit:
+      put(o, "C", r.cluster, " commit CLC sn=", r.a);
+      break;
+    case RecordKind::kCkptWrite:
+      put(o, "C", r.cluster, " ckpt write node ", r.node, ": ", r.a,
+          " bytes, stall ", r.b, " ns");
+      break;
+    case RecordKind::kChainRead:
+      put(o, "C", r.cluster, " chain read: ", r.a, " bytes, ", r.b, " ns");
+      break;
+    case RecordKind::kFailure:
+      put(o, "FAILURE node ", r.node, " (cluster ", r.cluster, ")");
+      break;
+    case RecordKind::kNodeRestored:
+      put(o, "RESTORED node ", r.node, " (cluster ", r.cluster, ")");
+      break;
+    case RecordKind::kRollbackBegin:
+      put(o, "C", r.cluster, " ROLLBACK to sn=", r.a, " inc=", r.id,
+          r.b != 0 ? " (alert)" : " (fault)");
+      break;
+    case RecordKind::kRecoveryEnd:
+      put(o, "RECOVERY complete (cluster ", r.cluster, ")");
+      break;
+    case RecordKind::kGcRoundBegin:
+      put(o, "GC round ", r.id, " start");
+      break;
+    case RecordKind::kGcPrune:
+      put(o, "C", r.cluster, " GC prune: ", r.a + r.b, " -> ", r.b);
+      break;
+    case RecordKind::kCampaignInject:
+      put(o, "INJECT node ", r.node, " (cluster ", r.cluster, ") source=");
+      o.text(r.label != nullptr ? r.label : "");
+      break;
+  }
+  put(o, "\n");
 }
 
 template <typename Out>
@@ -198,19 +268,37 @@ constexpr std::string_view kTsvHeader =
 constexpr std::size_t kKinds =
     static_cast<std::size_t>(RecordKind::kCampaignInject) + 1;
 
-/// Buffered bytes of one trace line per record kind, separator included.
-constexpr std::array<std::size_t, kKinds> kLineBound = [] {
+/// Buffered bytes of one line per record kind under `render`, plus
+/// `extra`.  Renderings branch only on whether a or b is zero (forced
+/// round, alert rollback), so each kind is measured with both at 0 and 1.
+template <typename Render>
+constexpr std::array<std::size_t, kKinds> line_bounds(Render render,
+                                                      std::size_t extra) {
   std::array<std::size_t, kKinds> bound{};
   for (std::size_t k = 0; k < kKinds; ++k) {
-    Width w;
-    TraceRecord r;
-    r.kind = static_cast<RecordKind>(k);
-    render_record(w, r);
-    bound[k] = kSep.size() + w.n;
+    for (const unsigned flags : {0u, 1u, 2u, 3u}) {
+      Width w;
+      TraceRecord r;
+      r.kind = static_cast<RecordKind>(k);
+      r.a = flags & 1u;
+      r.b = flags >> 1;
+      render(w, r);
+      bound[k] = std::max(bound[k], extra + w.n);
+    }
   }
   return bound;
-}();
+}
+
+/// Per-kind JSON line bound, separator included.
+constexpr std::array<std::size_t, kKinds> kLineBound = line_bounds(
+    [](auto& o, const TraceRecord& r) { render_record(o, r); }, kSep.size());
 static_assert(*std::max_element(kLineBound.begin(), kLineBound.end()) <=
+              Line::kCap);
+
+/// Per-kind text line bound, newline included.
+constexpr std::array<std::size_t, kKinds> kTextBound = line_bounds(
+    [](auto& o, const TraceRecord& r) { render_text(o, r); }, 0);
+static_assert(*std::max_element(kTextBound.begin(), kTextBound.end()) <=
               Line::kCap);
 
 constexpr std::size_t kRowBound = [] {
@@ -220,30 +308,48 @@ constexpr std::size_t kRowBound = [] {
 }();
 static_assert(kRowBound <= Line::kCap);
 
-}  // namespace
-
-std::string trace_json(const Recording& rec) {
-  const TraceBuffer& records = rec.recorder.records();
-  // One reservation covering the widest rendering of every record, so the
-  // string never reallocates; pages past what is written stay untouched.
-  std::size_t bound = kTraceHead.size() + kTraceTail.size();
+/// Every record through `render`, one line each, between `head` and
+/// `tail`.  One reservation covers the widest rendering of every record
+/// (`bounds` per kind, plus labels), so the string never reallocates;
+/// pages past what is written stay untouched.
+template <typename Render>
+std::string render_records(const TraceBuffer& records,
+                           const std::array<std::size_t, kKinds>& bounds,
+                           std::string_view head, std::string_view tail,
+                           Render render) {
+  std::size_t bound = head.size() + tail.size();
   records.for_each([&](const TraceRecord& r) {
-    bound += kLineBound[static_cast<std::size_t>(r.kind)];
+    bound += bounds[static_cast<std::size_t>(r.kind)];
     if (r.label != nullptr) bound += std::strlen(r.label);
   });
   std::string out;
   out.reserve(bound);
-  out += kTraceHead;
+  out += head;
   Line line(out);
-  std::string_view sep = kFirstSep;
   records.for_each([&](const TraceRecord& r) {
-    line.str(sep);
-    sep = kSep;
-    render_record(line, r);
+    render(line, r);
     line.flush();
   });
-  out += kTraceTail;
+  out += tail;
   return out;
+}
+
+}  // namespace
+
+std::string trace_json(const Recording& rec) {
+  std::string_view sep = kFirstSep;
+  return render_records(rec.recorder.records(), kLineBound, kTraceHead,
+                        kTraceTail, [&sep](Line& line, const TraceRecord& r) {
+                          line.str(sep);
+                          sep = kSep;
+                          render_record(line, r);
+                        });
+}
+
+std::string trace_text(const Recording& rec) {
+  return render_records(
+      rec.recorder.records(), kTextBound, {}, {},
+      [](Line& line, const TraceRecord& r) { render_text(line, r); });
 }
 
 std::string metrics_tsv(const Recording& rec) {

@@ -1,13 +1,14 @@
 #pragma once
 
-// Structured protocol trace: the typed counterpart of the §5.1 text trace.
+// Structured protocol trace: the simulator's one trace system.
 //
-// The paper's simulator "can be compiled with different trace levels"; the
-// text tiers (util/log.hpp) reproduce that, but a timeline needs records a
-// program can read back: which CLC round a commit closed, how long a
-// checkpoint write stalled, when a rollback started and when its recovery
-// finished.  This header defines those records and the Recorder that
-// collects them.
+// The paper's simulator "can be compiled with different trace levels".
+// Here a run either records or it does not, and the levels are renderings
+// of the same records (obs/export.hpp): the §5.1 protocol text, a
+// Perfetto timeline, or nothing beyond the end-of-run statistics.  The
+// records say which CLC round a commit closed, how long a checkpoint write
+// stalled, when a rollback started and when its recovery finished.  This
+// header defines those records and the Recorder that collects them.
 //
 // Cost discipline: when tracing is off the recorder pointer threaded
 // through proto::AgentContext is null and every emission site is one
@@ -38,10 +39,11 @@ enum class RecordKind : std::uint8_t {
   kChainRead,       ///< a=bytes, b=read ns (recovery chain read)
   kFailure,         ///< node=victim
   kNodeRestored,    ///< node=restored node
-  kRollbackBegin,   ///< a=rollback-to SN
+  kRollbackBegin,   ///< id=new incarnation, a=rollback-to SN (0 for a
+                    ///< node-scope rollback), b=origin: 0 fault, 1 alert
   kRecoveryEnd,     ///< recovery complete for the cluster
   kGcRoundBegin,    ///< id=GC round
-  kGcPrune,         ///< id=GC round, a=CLCs removed
+  kGcPrune,         ///< id=GC round, a=CLCs removed, b=CLCs kept
   kCampaignInject,  ///< node=victim, label=injection source
 };
 
@@ -179,7 +181,7 @@ class Recorder {
 /// The sanctioned emission idiom: one null test when tracing is off, a
 /// record append when on.  Instrumentation sites must use this macro (or an
 /// equivalent visible guard) — the trace-guarded lint rule rejects raw
-/// Recorder/Trace emission calls outside src/obs/.
+/// Recorder emission calls outside src/obs/.
 #define HC3I_OBS(rec, ...)                         \
   do {                                             \
     if ((rec) != nullptr) (rec)->emit(__VA_ARGS__); \

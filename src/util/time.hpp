@@ -79,8 +79,8 @@ inline constexpr std::size_t kTimeBufSize = 64;
 
 /// Format `t` exactly as to_string() would, but into a caller-provided
 /// buffer of at least kTimeBufSize bytes; returns the length written
-/// (excluding the NUL).  The allocation-free flavour the trace hot path
-/// uses (Trace::emit reuses one line buffer per process).
+/// (excluding the NUL).  The allocation-free flavour obs::trace_text uses
+/// to write each line's time prefix straight into its line buffer.
 std::size_t format_time(SimTime t, char* buf, std::size_t cap);
 
 }  // namespace hc3i

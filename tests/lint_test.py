@@ -189,8 +189,8 @@ class OwnStatic(unittest.TestCase):
             "static std::atomic<std::uint32_t> counter{0};",
             "thread_local Arena* t_arena = nullptr;",
             "inline thread_local Arena* t_arena = nullptr;",
-            "inline TraceLevel g_level = TraceLevel::kStats;",
-            "TraceSink g_sink;",
+            "inline Verbosity g_level = Verbosity::kStats;",
+            "LineSink g_sink;",
             "static std::vector<int> cache;",
         ):
             active, _, _ = scan(snippet)
@@ -233,8 +233,6 @@ class TraceGuarded(unittest.TestCase):
         for snippet in (
             "ctx_.obs->emit(obs::RecordKind::kClcCommit, now, c, n, id);",
             "recorder_.emit(obs::RecordKind::kFailure, now, c, v, 0);",
-            "Trace::emit(TraceLevel::kStats, now, line);",
-            "::hc3i::Trace::emit(TraceLevel::kAction, now, line);",
             "if (x) { rec->emit(k, t, c, n, id); }",  # hand-rolled guard
         ):
             active, _, _ = scan(snippet)
@@ -243,7 +241,6 @@ class TraceGuarded(unittest.TestCase):
     def test_clean(self):
         for snippet in (
             "HC3I_OBS(ctx_.obs, obs::RecordKind::kClcAck, now, c, n, id);",
-            "HC3I_TRACE(kProtocol, now, \"cluster \" << c << \" commit\");",
             "registry_.inc(\"clc.total\");",
             "q.emplace(k, v);",  # emplace is not emit
             "// rec->emit(...) in prose\nint x = 0;",
@@ -251,24 +248,21 @@ class TraceGuarded(unittest.TestCase):
             active, _, _ = scan(snippet)
             self.assertNotIn("trace-guarded", rules_of(active), snippet)
 
-    def test_implementation_homes_excluded(self):
-        for path in ("src/obs/trace.hpp", "src/obs/export.cpp",
-                     "src/util/log.cpp", "src/util/log.hpp"):
-            active, _, _ = scan(
-                "Trace::emit(lv, t, line); buf->emit(k, t, c, n, id);",
-                path=path)
+    def test_implementation_home_excluded(self):
+        for path in ("src/obs/trace.hpp", "src/obs/export.cpp"):
+            active, _, _ = scan("buf->emit(k, t, c, n, id);", path=path)
             self.assertEqual(active, [], path)
 
     def test_out_of_scope_dirs(self):
-        # Drivers set the level themselves; a raw emit there is a choice.
-        active, _, _ = scan("Trace::emit(TraceLevel::kAction, t, line);",
+        # Drivers own their recorder; a raw emit there is a choice.
+        active, _, _ = scan("rec.emit(k, t, c, n, id);",
                             path="bench/bench_fake.cpp")
         self.assertEqual(active, [])
 
     def test_tag_suppresses(self):
         active, suppressed, _ = scan(
-            "// lint: trace-ok(level pre-checked by the enclosing branch)\n"
-            "Trace::emit(TraceLevel::kAction, now, line);\n")
+            "// lint: trace-ok(recorder pre-checked by the enclosing branch)\n"
+            "rec->emit(k, now, c, n, id);\n")
         self.assertEqual(active, [])
         self.assertEqual(rules_of(suppressed), ["trace-guarded"])
 

@@ -1,17 +1,21 @@
 // Tests for the observability layer: Log2Histogram quantiles, the chunked
-// trace buffer, the Recorder's derived distributions, exporter formats, and
-// the end-to-end determinism contract (two same-seed traced runs export
-// byte-identical JSON/TSV; untraced runs carry no Recording at all).
+// trace buffer, the Recorder's derived distributions, exporter formats,
+// rollback recording under every protocol, and the end-to-end determinism
+// contract (two same-seed traced runs export byte-identical JSON/TSV;
+// untraced runs carry no Recording at all).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "config/presets.hpp"
 #include "driver/report.hpp"
 #include "driver/run.hpp"
+#include "fault/campaign.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "stats/accumulators.hpp"
@@ -176,17 +180,16 @@ TEST(Export, MetricsTsvHeaderAndRows) {
   EXPECT_NE(tsv.find("\n30.000000000\t0\t4\t2\t"), std::string::npos);
 }
 
-// The two tests below pin the exporters' exact bytes with boundary values
-// (zero and all-ones fields, every 3-digit ns remainder shape, the largest
-// SimTime, a null and a set label).  A round-begin record keeps a small
-// cluster id: the Recorder indexes its open-round table by cluster.
-TEST(Export, EveryRecordKindRendersExactly) {
-  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
-  constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+
+/// One record of every kind with boundary values (zero and all-ones
+/// fields, every 3-digit ns remainder shape, the largest SimTime, a null
+/// and a set label).  A round-begin record keeps a small cluster id: the
+/// Recorder indexes its open-round table by cluster.
+void emit_boundary_records(obs::Recorder& r) {
   constexpr auto kMaxNs = std::numeric_limits<std::int64_t>::max();
   using K = obs::RecordKind;
-  obs::Recording rec;
-  obs::Recorder& r = rec.recorder;
   r.emit(K::kClcRoundBegin, nanoseconds(0), 0, kU32, kU64, kU64, kU64);
   r.emit(K::kClcAck, nanoseconds(1'000'007), kU32, kU32, kU64, kU64, kU64);
   r.emit(K::kClcCommit, nanoseconds(999), kU32, 0, kU64, kU64, kU64);
@@ -201,6 +204,12 @@ TEST(Export, EveryRecordKindRendersExactly) {
   r.emit(K::kCampaignInject, nanoseconds(kMaxNs), 2, kU32, 0, 0, 0, nullptr);
   r.emit(K::kCampaignInject, nanoseconds(10'000'000'001), 2, 5, 0, 0, 0,
          "stream");
+}
+
+// The exact-render tests below pin the exporters' bytes.
+TEST(Export, EveryRecordKindRendersExactly) {
+  obs::Recording rec;
+  emit_boundary_records(rec.recorder);
   const std::string expected =
       "{\"traceEvents\":[\n"
       "{\"name\":\"clc_round\",\"cat\":\"clc\",\"ph\":\"b\",\"pid\":0,"
@@ -247,8 +256,48 @@ TEST(Export, EveryRecordKindRendersExactly) {
   EXPECT_EQ(obs::trace_json(rec), expected);
 }
 
+// An alert-triggered rollback opens no recovery span: it is an instant
+// carrying the restored SN and the new incarnation.
+TEST(Export, AlertRollbackRendersAsInstant) {
+  obs::Recording rec;
+  rec.recorder.emit(obs::RecordKind::kRollbackBegin, seconds(6), kU32, 0, kU64,
+                    kU64, 1);
+  const std::string expected =
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"rollback\",\"cat\":\"recovery\",\"ph\":\"i\",\"pid\":0,"
+      "\"tid\":4294967295,\"ts\":6000000.000,\"s\":\"t\","
+      "\"args\":{\"to_sn\":18446744073709551615,"
+      "\"inc\":18446744073709551615}}\n"
+      "],\"displayTimeUnit\":\"ms\"}\n";
+  EXPECT_EQ(obs::trace_json(rec), expected);
+}
+
+TEST(TextExport, EveryRecordKindRendersExactly) {
+  obs::Recording rec;
+  emit_boundary_records(rec.recorder);
+  rec.recorder.emit(obs::RecordKind::kRollbackBegin, seconds(61), 1, 0, 2, 59,
+                    1);
+  const std::string expected =
+      "[0] C0 CLC round 18446744073709551615 (forced)\n"
+      "[1ms] C4294967295 CLC round 18446744073709551615 ack from node "
+      "4294967295 (18446744073709551615/18446744073709551615)\n"
+      "[999ns] C4294967295 commit CLC sn=18446744073709551615\n"
+      "[2ms] C3 ckpt write node 4294967295: 18446744073709551615 bytes, "
+      "stall 1500042 ns\n"
+      "[3s] C0 chain read: 0 bytes, 18446744073709551615 ns\n"
+      "[4s] FAILURE node 4294967295 (cluster 4294967295)\n"
+      "[5s] RESTORED node 12 (cluster 1)\n"
+      "[6s] C4294967295 ROLLBACK to sn=18446744073709551615 inc=0 (fault)\n"
+      "[7s] RECOVERY complete (cluster 4294967295)\n"
+      "[8s] GC round 18446744073709551615 start\n"
+      "[9s] C0 GC prune: 18446744073709551615 -> 0\n"
+      "[inf] INJECT node 4294967295 (cluster 2) source=\n"
+      "[10s] INJECT node 5 (cluster 2) source=stream\n"
+      "[1m01.0s] C1 ROLLBACK to sn=59 inc=2 (alert)\n";
+  EXPECT_EQ(obs::trace_text(rec), expected);
+}
+
 TEST(Export, MetricsTsvRendersExactly) {
-  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
   obs::Recording rec;
   rec.samples.push_back({nanoseconds(1'234'567'891), kU64, kU64, kU64, kU64,
                          kU64, kU64, kU64, kU64});
@@ -298,6 +347,81 @@ driver::RunOptions obs_opts() {
   opts.metrics_interval = minutes(5);
   return opts;
 }
+
+/// examples/failure_recovery's scenario: 3 clusters of 4 nodes for 1 h,
+/// node 5 (cluster 1) killed at 35 min.  Seed 7 cascades: cluster 1's
+/// rollback alerts force clusters 0 and 2 back too.
+driver::RunOptions failure_recovery_opts(driver::ProtocolKind protocol) {
+  driver::RunOptions opts;
+  opts.spec = config::small_test_spec(3, 4);
+  opts.spec.application.total_time = hours(1);
+  for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(10);
+  opts.seed = 7;
+  opts.protocol = protocol;
+  opts.campaign.kills.push_back(fault::KillSpec{minutes(35), NodeId{5}});
+  opts.trace = true;
+  return opts;
+}
+
+TEST(TextExport, FailureRecoveryCascade) {
+  const auto result = driver::run_simulation(
+      failure_recovery_opts(driver::ProtocolKind::kHc3i));
+  ASSERT_NE(result.obs, nullptr);
+  std::istringstream text(obs::trace_text(*result.obs));
+  std::string recovery;
+  for (std::string line; std::getline(text, line);) {
+    for (const char* key : {"FAILURE", "ROLLBACK", "RECOVERY"}) {
+      if (line.find(key) != std::string::npos) recovery += line + "\n";
+    }
+  }
+  EXPECT_EQ(recovery,
+            "[35m00.0s] FAILURE node 5 (cluster 1)\n"
+            "[35m00.1s] C1 ROLLBACK to sn=59 inc=1 (fault)\n"
+            "[35m00.1s] C0 ROLLBACK to sn=47 inc=1 (alert)\n"
+            "[35m00.1s] C2 ROLLBACK to sn=49 inc=1 (alert)\n"
+            "[35m00.1s] RECOVERY complete (cluster 1)\n");
+}
+
+// Every protocol records each rollback it counts, and opens the recovery
+// span (a fault-origin rollback) that each recovery_end closes.
+class RollbackRecords : public ::testing::TestWithParam<driver::ProtocolKind> {
+};
+
+TEST_P(RollbackRecords, MatchRollbackCountAndPairRecoveryEnds) {
+  const auto result = driver::run_simulation(failure_recovery_opts(GetParam()));
+  ASSERT_NE(result.obs, nullptr);
+  std::uint64_t begins = 0;
+  std::uint64_t ends = 0;
+  std::vector<bool> open;
+  result.obs->recorder.records().for_each([&](const obs::TraceRecord& r) {
+    if (r.cluster >= open.size()) open.resize(r.cluster + 1, false);
+    if (r.kind == obs::RecordKind::kRollbackBegin) {
+      ++begins;
+      if (r.b == 0) open[r.cluster] = true;
+    } else if (r.kind == obs::RecordKind::kRecoveryEnd) {
+      ++ends;
+      EXPECT_TRUE(open[r.cluster])
+          << "recovery_end on cluster " << r.cluster << " at "
+          << to_string(r.t) << " without a fault rollback";
+      open[r.cluster] = false;
+    }
+  });
+  EXPECT_EQ(begins, result.counter("rollback.count"));
+  EXPECT_EQ(ends, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, RollbackRecords,
+    ::testing::Values(driver::ProtocolKind::kHc3i,
+                      driver::ProtocolKind::kIndependent,
+                      driver::ProtocolKind::kCoordinatedGlobal,
+                      driver::ProtocolKind::kPessimisticLog,
+                      driver::ProtocolKind::kHierarchicalCoordinated),
+    [](const ::testing::TestParamInfo<driver::ProtocolKind>& param) {
+      std::string name = driver::to_string(param.param);
+      std::erase(name, '-');
+      return name;
+    });
 
 TEST(ObsEndToEnd, OffMeansNoRecording) {
   driver::RunOptions opts = obs_opts();

@@ -67,6 +67,19 @@ TEST(SimTime, ToStringPicksUnits) {
   EXPECT_NE(to_string(hours(2)).find("2h"), std::string::npos);
 }
 
+TEST(FormatTime, MatchesToString) {
+  const SimTime cases[] = {SimTime::zero(),   nanoseconds(5),
+                           microseconds(150), milliseconds(3),
+                           seconds(42),       minutes(5) + seconds(30),
+                           hours(2) + minutes(3) + milliseconds(4500),
+                           SimTime::infinity()};
+  for (const SimTime t : cases) {
+    char buf[kTimeBufSize];
+    const std::size_t n = format_time(t, buf, sizeof buf);
+    EXPECT_EQ(std::string(buf, n), to_string(t));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RngStream
 // ---------------------------------------------------------------------------

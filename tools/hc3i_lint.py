@@ -32,13 +32,11 @@ enforces):
                  state in src/ outside the arena/registry allowlist — the
                  sharded runner's no-sharing claim, statically.  Allowlisted
                  sites are tagged ``// lint: static-ok(<reason>)``.
-  trace-guarded  every trace emission site in src/ must go through its
-                 self-guarding macro: HC3I_TRACE checks the level before
-                 formatting, HC3I_OBS null-tests the recorder pointer.  A
-                 raw ``Trace::emit(...)`` formats unconditionally and a raw
-                 ``obs->emit(...)`` crashes when tracing is off; both defeat
-                 the zero-cost-when-off contract.  The implementation homes
-                 (src/obs/, src/util/log.hpp, src/util/log.cpp) are
+  trace-guarded  every trace emission site in src/ must go through the
+                 self-guarding HC3I_OBS macro, which null-tests the
+                 recorder pointer.  A raw ``obs->emit(...)`` crashes when
+                 tracing is off, defeating the zero-cost-when-off
+                 contract.  The implementation home (src/obs/) is
                  excluded; sanctioned raw calls elsewhere are tagged
                  ``// lint: trace-ok(<reason>)``.
 
@@ -82,7 +80,7 @@ RULES = {
     "det-ptrkey": "pointer key / address-derived value",
     "check-pure": "side effect inside HC3I_CHECK/assert argument",
     "own-static": "mutable static/thread_local/global state",
-    "trace-guarded": "unguarded trace emission (use HC3I_TRACE/HC3I_OBS)",
+    "trace-guarded": "unguarded trace emission (use HC3I_OBS)",
 }
 
 # Tag suffix "unordered-ok(...)" -> rule id.
@@ -99,8 +97,8 @@ RULE_FOR_TAG = {v: k for k, v in TAG_FOR_RULE.items()}
 # Which top-level dirs each rule scans.  own-static is src-only by design:
 # examples and benches are drivers, their globals (arg parsing, alloc
 # counters) are not simulation state.  trace-guarded is src-only too:
-# examples/benches run at a level they set themselves, so a raw emit there
-# is a driver choice, not a hot-path hazard.
+# examples/benches own the recorder they emit into, so a raw emit there is
+# a driver choice, not a hot-path hazard.
 RULE_SCOPES = {
     "det-wallclock": ("src", "examples", "bench"),
     "det-unordered": ("src", "examples", "bench"),
@@ -279,11 +277,11 @@ STATIC_HEAD_RE = re.compile(
     r"|^\s*static\s+thread_local\b")
 INLINE_VAR_RE = re.compile(r"^\s*inline\s+(?!namespace\b)")
 # A declaration of a g_-named global: type token(s), then the name.  The
-# repo names namespace-scope mutable globals g_* (log sink, trace level),
-# so the naming convention itself becomes the detector for globals the
-# static/thread_local patterns cannot see (anonymous-namespace definitions
-# carry no storage keyword).  Assignments like `g_sink = ...` do not match:
-# there is no preceding type token.
+# repo names namespace-scope mutable globals g_*, so the naming convention
+# itself becomes the detector for globals the static/thread_local patterns
+# cannot see (anonymous-namespace definitions carry no storage keyword).
+# Assignments like `g_sink = ...` do not match: there is no preceding type
+# token.
 GLOBAL_NAME_RE = re.compile(
     r"^\s*(?:[A-Za-z_][\w:]*(?:<[^<>]*>)?[\s*&]+)g_\w+\s*[;={]")
 CONSTNESS_RE = re.compile(r"\b(?:const|constexpr|consteval)\b")
@@ -303,30 +301,21 @@ MUTATING_CALL_RE = re.compile(
     r"|fetch_\w+|mark_\w+|bump\w*|next\w*)\s*\(")
 CHECK_HEAD_RE = re.compile(r"\b(?:HC3I_CHECK|assert)\s*\(")
 
-# Trace emission: a qualified Trace::emit call, or a member emit(...) call
-# (the only emit-named members in src/ are the trace sinks: hc3i::Trace and
-# obs::Recorder).  The macro bodies themselves live in the excluded homes,
-# so every properly guarded site is invisible to this scan.
-TRACE_EMIT_RES = (
-    re.compile(r"\bTrace\s*::\s*emit\s*\("),
-    re.compile(r"(?:\.|->)\s*emit\s*\("),
-)
-# Implementation homes: the guard macros and the emit definitions live
-# here; a raw call inside them IS the mechanism, not a bypass.
-TRACE_EMIT_HOMES = ("src/util/log.hpp", "src/util/log.cpp")
-TRACE_EMIT_HOME_DIRS = ("src/obs/",)
+# Trace emission: a member emit(...) call (the only emit-named member in
+# src/ is the trace sink, obs::Recorder).  The macro body lives in the
+# excluded home, so every properly guarded site is invisible to this scan.
+TRACE_EMIT_RE = re.compile(r"(?:\.|->)\s*emit\s*\(")
+# Implementation home: the guard macro and the emit definition live here;
+# a raw call inside it IS the mechanism, not a bypass.
+TRACE_EMIT_HOME_DIR = "src/obs/"
 
 
 def scan_trace_guarded(stripped_lines, out, path):
-    if path in TRACE_EMIT_HOMES:
-        return
-    if any(path.startswith(d) for d in TRACE_EMIT_HOME_DIRS):
+    if path.startswith(TRACE_EMIT_HOME_DIR):
         return
     for i, line in enumerate(stripped_lines, start=1):
-        for rex in TRACE_EMIT_RES:
-            if rex.search(line):
-                out.append(Finding("trace-guarded", path, i, line))
-                break
+        if TRACE_EMIT_RE.search(line):
+            out.append(Finding("trace-guarded", path, i, line))
 
 
 def scan_wallclock(stripped_lines, out, path):
