@@ -129,16 +129,12 @@ int run_reference(std::size_t clusters, std::uint32_t nodes, SimTime total,
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  for (const std::string& name : flags.names()) {
-    if (name != "clusters" && name != "nodes" && name != "seed" &&
-        name != "minutes" && name != "mtbf" && name != "reference" &&
-        name != "overlap") {
-      std::fprintf(stderr,
-                   "unknown flag --%s (known: --clusters --nodes --seed "
-                   "--minutes --mtbf --reference --overlap)\n",
-                   name.c_str());
-      return 2;
-    }
+  if (const std::string unknown = flags.unknown_flag(
+          {"clusters", "nodes", "seed", "minutes", "mtbf", "reference",
+           "overlap"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    return 2;
   }
   const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 100));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));

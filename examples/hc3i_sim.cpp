@@ -5,7 +5,7 @@
 //   ./hc3i_sim <topology.conf> <application.conf> <timers.conf>
 //              [--seed=1] [--protocol=hc3i|independent|global|hier|pessimistic]
 //              [--failures] [--campaign=<campaign.conf>]
-//              [--trace=stats|protocol] [--csv]
+//              [--trace=stats|protocol] [--dump-counters]
 //              [--trace-out=<trace.json>] [--metrics-out=<metrics.tsv>]
 //              [--metrics-interval=<dur>]
 //
@@ -20,9 +20,10 @@
 // are byte-reproducible for a fixed seed; see docs/observability.md.
 //
 // Prints the end-of-run statistics block (the simulator's "lowest output",
-// per the paper); --trace=protocol also prints every recorded protocol
-// event (CLC rounds and commits, failures, rollbacks, GC) as time-stamped
-// text on stderr.  Try it on the committed reference files:
+// per the paper), or with --dump-counters the sorted "name = value" counter
+// dump the golden files hold; --trace=protocol also prints every recorded
+// protocol event (CLC rounds and commits, failures, rollbacks, GC) as
+// time-stamped text on stderr.  Try it on the committed reference files:
 //
 //   ./hc3i_sim configs/paper/topology.conf configs/paper/application.conf \
 //              configs/paper/timers.conf --trace=protocol
@@ -54,11 +55,18 @@ driver::ProtocolKind parse_protocol(const std::string& name) {
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  if (const std::string unknown = flags.unknown_flag(
+          {"seed", "protocol", "failures", "campaign", "trace",
+           "dump-counters", "trace-out", "metrics-out", "metrics-interval"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "hc3i_sim: %s\n", unknown.c_str());
+    return 2;
+  }
   if (flags.positional().size() != 3) {
     std::fprintf(stderr,
                  "usage: hc3i_sim <topology.conf> <application.conf> "
                  "<timers.conf> [--seed=N] [--protocol=...] [--failures] "
-                 "[--campaign=<file>] [--trace=...] [--csv] "
+                 "[--campaign=<file>] [--trace=...] [--dump-counters] "
                  "[--trace-out=<f>] [--metrics-out=<f>] "
                  "[--metrics-interval=<dur>]\n");
     return 2;
@@ -111,8 +119,8 @@ int main(int argc, char** argv) {
             "cannot write " + metrics_out);
       }
     }
-    if (flags.get_bool("csv", false)) {
-      std::printf("%s", driver::render_counters_csv(result).c_str());
+    if (flags.get_bool("dump-counters", false)) {
+      std::fputs(result.registry.dump().c_str(), stdout);
     } else {
       std::printf("%s", driver::render_report(
                             result, opts.spec.topology.cluster_count())

@@ -197,20 +197,13 @@ void dump_counters(std::uint32_t nodes, FaultMode mode, bool storage,
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  for (const std::string& name : flags.names()) {
-    if (name != "clusters" && name != "nodes" && name != "seed" &&
-        name != "minutes" && name != "sweep" && name != "dump-counters" &&
-        name != "faulty" && name != "overlap" && name != "storage" &&
-        name != "trace-out" && name != "metrics-out" &&
-        name != "metrics-interval") {
-      std::fprintf(stderr,
-                   "unknown flag --%s (known: --clusters --nodes --seed "
-                   "--minutes --sweep --dump-counters --faulty --overlap "
-                   "--storage --trace-out --metrics-out "
-                   "--metrics-interval)\n",
-                   name.c_str());
-      return 2;
-    }
+  if (const std::string unknown = flags.unknown_flag(
+          {"clusters", "nodes", "seed", "minutes", "sweep", "dump-counters",
+           "faulty", "overlap", "storage", "trace-out", "metrics-out",
+           "metrics-interval"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    return 2;
   }
   const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 100));
   const bool faulty = flags.get_bool("faulty", false);

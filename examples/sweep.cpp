@@ -247,19 +247,13 @@ int run_storage_grid(std::size_t threads) {
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
-  for (const std::string& name : flags.names()) {
-    if (name != "clusters" && name != "nodes" && name != "minutes" &&
-        name != "campaigns" && name != "seeds" && name != "threads" &&
-        name != "json" && name != "config" && name != "grid" &&
-        name != "protocol" && name != "obs-dir" &&
-        name != "metrics-interval") {
-      std::fprintf(stderr,
-                   "unknown flag --%s (known: --clusters --nodes --minutes "
-                   "--campaigns --seeds --threads --json --config --grid "
-                   "--protocol --obs-dir --metrics-interval)\n",
-                   name.c_str());
-      return 2;
-    }
+  if (const std::string unknown = flags.unknown_flag(
+          {"clusters", "nodes", "minutes", "campaigns", "seeds", "threads",
+           "json", "config", "grid", "protocol", "obs-dir",
+           "metrics-interval"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    return 2;
   }
   const auto threads =
       static_cast<std::size_t>(flags.get_int("threads", 0));

@@ -194,13 +194,4 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
   return os.str();
 }
 
-std::string render_counters_csv(const RunResult& result) {
-  std::ostringstream os;
-  os << "counter,value\n";
-  for (const auto& name : result.registry.counter_names()) {
-    os << name << "," << result.registry.get(name) << "\n";
-  }
-  return os.str();
-}
-
 }  // namespace hc3i::driver

@@ -19,8 +19,4 @@ namespace hc3i::driver {
 /// verdict.  `clusters` is the federation size the run used.
 std::string render_report(const RunResult& result, std::size_t clusters);
 
-/// Render the raw counter registry as CSV ("counter,value" rows) for
-/// scripted post-processing.
-std::string render_counters_csv(const RunResult& result);
-
 }  // namespace hc3i::driver

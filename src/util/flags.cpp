@@ -1,5 +1,7 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 #include "util/quantity.hpp"
 
@@ -59,6 +61,20 @@ std::vector<std::string> Flags::names() const {
   out.reserve(values_.size());
   for (const auto& [k, _] : values_) out.push_back(k);
   return out;
+}
+
+std::string Flags::unknown_flag(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, _] : values_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string msg = "unknown flag --" + name + " (known:";
+    for (const std::string_view k : known) {
+      msg += " --";
+      msg += k;
+    }
+    return msg + ")";
+  }
+  return {};
 }
 
 }  // namespace hc3i

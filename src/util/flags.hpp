@@ -7,9 +7,11 @@
 // not silently run the default configuration).
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hc3i {
@@ -37,6 +39,11 @@ class Flags {
 
   /// Names of all flags that were set (for unknown-flag validation).
   std::vector<std::string> names() const;
+
+  /// "unknown flag --x (known: --a --b ...)" for the first set flag (in
+  /// name order) that is not in `known`; empty when every flag is known.
+  /// The message lists `known` itself, so it cannot drift from the check.
+  std::string unknown_flag(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

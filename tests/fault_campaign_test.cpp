@@ -252,7 +252,7 @@ TEST(Campaign, SameSeedSameCampaignIsByteIdentical) {
   const auto a = driver::run_simulation(determinism_opts(7));
   const auto b = driver::run_simulation(determinism_opts(7));
   EXPECT_GE(a.counter("fault.injected"), 4u);  // all injector kinds fired
-  EXPECT_EQ(driver::render_counters_csv(a), driver::render_counters_csv(b));
+  EXPECT_EQ(a.registry.dump(), b.registry.dump());
   ASSERT_EQ(a.incidents.size(), b.incidents.size());
   for (std::size_t i = 0; i < a.incidents.size(); ++i) {
     EXPECT_EQ(a.incidents[i].injected_at, b.incidents[i].injected_at);
@@ -279,7 +279,7 @@ TEST(Campaign, ScriptedFailureShimMatchesExplicitCampaign) {
   const auto a = driver::run_simulation(legacy);
   const auto b = driver::run_simulation(campaign);
   EXPECT_EQ(a.counter("fault.injected"), 2u);
-  EXPECT_EQ(driver::render_counters_csv(a), driver::render_counters_csv(b));
+  EXPECT_EQ(a.registry.dump(), b.registry.dump());
   EXPECT_EQ(a.incidents.size(), b.incidents.size());
 }
 
@@ -303,7 +303,7 @@ TEST(Campaign, AutoFailuresShimMatchesFederationWideStream) {
   const auto a = driver::run_simulation(legacy);
   const auto b = driver::run_simulation(campaign);
   EXPECT_GE(a.counter("fault.injected"), 1u);
-  EXPECT_EQ(driver::render_counters_csv(a), driver::render_counters_csv(b));
+  EXPECT_EQ(a.registry.dump(), b.registry.dump());
 }
 
 // ---------------------------------------------------------------------------

@@ -38,21 +38,6 @@ TEST(Report, ContainsEverySection) {
   EXPECT_NE(report.find("failures injected        : 1"), std::string::npos);
 }
 
-TEST(Report, CountersCsvIsParseable) {
-  const auto result = tiny_run();
-  const std::string csv = driver::render_counters_csv(result);
-  EXPECT_EQ(csv.rfind("counter,value\n", 0), 0u);
-  // Every line has exactly one comma.
-  std::istringstream is(csv);
-  std::string line;
-  int lines = 0;
-  while (std::getline(is, line)) {
-    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 1) << line;
-    ++lines;
-  }
-  EXPECT_GT(lines, 20);
-}
-
 TEST(Report, ViolationsAreRendered) {
   // Sabotaged protocol (no channel capture) across a few seeds; whichever
   // run trips the oracle must render its violations.
