@@ -38,7 +38,7 @@ double forced_total(bool transitive, int seeds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {"seeds"});
   const int seeds = static_cast<int>(flags.get_int("seeds", 5));
 
   bench::print_header(

@@ -9,7 +9,7 @@
 using namespace hc3i;
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {"seed"});
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   bench::print_header(

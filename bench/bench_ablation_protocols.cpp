@@ -60,7 +60,7 @@ Row measure(driver::ProtocolKind kind, int seeds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {"seeds"});
   const int seeds = static_cast<int>(flags.get_int("seeds", 3));
 
   bench::print_header(

@@ -8,7 +8,10 @@
 // message census per Table 1.  Numbers are seed-averaged (--seeds=N).
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "config/presets.hpp"
 #include "driver/run.hpp"
@@ -17,6 +20,18 @@
 #include "util/flags.hpp"
 
 namespace hc3i::bench {
+
+/// Parse argv and exit 2 on any flag outside `known`: a typo (say --seeds
+/// on a --seed bench) must fail, not silently run the default.
+inline Flags parse_flags(int argc, char** argv,
+                         std::initializer_list<std::string_view> known) {
+  Flags flags = Flags::parse(argc, argv);
+  if (const std::string unknown = flags.unknown_flag(known); !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    std::exit(2);
+  }
+  return flags;
+}
 
 /// One run of the paper §5.2 reference scenario.
 inline driver::RunResult run_reference(SimTime timer0, SimTime timer1,

@@ -8,7 +8,7 @@
 using namespace hc3i;
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {"seeds"});
   const int seeds = static_cast<int>(flags.get_int("seeds", 3));
 
   bench::print_header("Table 1", "Application messages",

@@ -48,6 +48,12 @@ config::RunSpec pipeline_spec(std::int64_t run_hours, std::int64_t clc_min) {
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  if (const std::string unknown = flags.unknown_flag(
+          {"hours", "clc-min", "dump", "seed", "transitive"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    return 2;
+  }
   const config::RunSpec spec =
       pipeline_spec(flags.get_int("hours", 10), flags.get_int("clc-min", 30));
 

@@ -18,6 +18,11 @@ using namespace hc3i;
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  if (const std::string unknown = flags.unknown_flag({"seed", "quiet"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    return 2;
+  }
 
   driver::RunOptions opts;
   // Three small clusters with a modest inter-cluster exchange pattern.

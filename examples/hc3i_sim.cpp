@@ -3,7 +3,9 @@
 // timer file."
 //
 //   ./hc3i_sim <topology.conf> <application.conf> <timers.conf>
-//              [--seed=1] [--protocol=hc3i|independent|global|hier|pessimistic]
+//              [--seed=1]
+//              [--protocol=hc3i|independent|coordinated-global|
+//                          pessimistic-log|hierarchical-coordinated]
 //              [--failures] [--campaign=<campaign.conf>]
 //              [--trace=stats|protocol] [--dump-counters]
 //              [--trace-out=<trace.json>] [--metrics-out=<metrics.tsv>]
@@ -39,20 +41,6 @@
 
 using namespace hc3i;
 
-namespace {
-
-driver::ProtocolKind parse_protocol(const std::string& name) {
-  if (name == "hc3i") return driver::ProtocolKind::kHc3i;
-  if (name == "independent") return driver::ProtocolKind::kIndependent;
-  if (name == "global") return driver::ProtocolKind::kCoordinatedGlobal;
-  if (name == "hier") return driver::ProtocolKind::kHierarchicalCoordinated;
-  if (name == "pessimistic") return driver::ProtocolKind::kPessimisticLog;
-  HC3I_CHECK(false, "unknown --protocol: " + name);
-  return driver::ProtocolKind::kHc3i;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   if (const std::string unknown = flags.unknown_flag(
@@ -82,7 +70,10 @@ int main(int argc, char** argv) {
                                       flags.positional()[1],
                                       flags.positional()[2]);
     opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    opts.protocol = parse_protocol(flags.get("protocol", "hc3i"));
+    const std::string protocol_name = flags.get("protocol", "hc3i");
+    const auto protocol = driver::parse_protocol(protocol_name);
+    HC3I_CHECK(protocol.has_value(), "unknown --protocol: " + protocol_name);
+    opts.protocol = *protocol;
     opts.auto_failures = flags.get_bool("failures", false);
     const std::string campaign_path = flags.get("campaign", "");
     if (!campaign_path.empty()) {

@@ -19,6 +19,12 @@ using namespace hc3i;
 
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
+  if (const std::string unknown =
+          flags.unknown_flag({"clusters", "nodes", "seed", "fail-at"});
+      !unknown.empty()) {
+    std::fprintf(stderr, "%s\n", unknown.c_str());
+    return 2;
+  }
   const auto clusters = static_cast<std::size_t>(flags.get_int("clusters", 2));
   const auto nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 8));
 

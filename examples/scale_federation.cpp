@@ -17,9 +17,9 @@
 //                                              #   diffs it against
 //                                              #   bench/golden_counters_scale.txt)
 //   ./scale_federation --faulty [--sweep=...]  # same scenario under the fixed
-//                                              #   reference fault campaign in
-//                                              #   legacy serialized mode; with
-//                                              #   --dump-counters CI diffs it
+//                                              #   reference fault campaign;
+//                                              #   with --dump-counters CI
+//                                              #   diffs it
 //                                              #   against
 //                                              #   bench/golden_counters_scale_faulty.txt
 //   ./scale_federation --overlap               # overlapping-burst campaign:
@@ -99,9 +99,6 @@ void apply_fault_mode(driver::RunOptions* opts, FaultMode mode,
       break;
     case FaultMode::kFaulty:
       opts->campaign = fault::reference_scale_campaign(clusters, nodes, total);
-      // The faulty golden predates concurrent recoveries; pin the legacy
-      // one-fault-at-a-time mode so the dump stays byte-identical.
-      opts->campaign.serialize_faults = true;
       break;
     case FaultMode::kOverlap:
       opts->campaign =
@@ -253,7 +250,7 @@ int main(int argc, char** argv) {
               "ring traffic, CLC timer 5min, GC 10min%s%s\n\n",
               nodes, to_string(total).c_str(),
               mode == FaultMode::kFaulty
-                  ? ", reference fault campaign (serialized)"
+                  ? ", reference fault campaign"
                   : mode == FaultMode::kOverlap
                         ? ", overlap fault campaign (concurrent recoveries)"
                         : "",

@@ -29,9 +29,9 @@
 //                                                  #   are disjoint per case so
 //                                                  #   shards never collide
 //
-// --campaigns kinds: none (failure-free), faulty (the reference campaign in
-// legacy serialized mode, as the --faulty golden), overlap (concurrent
-// per-cluster recoveries; needs >= 4 clusters).
+// --campaigns kinds: none (failure-free), faulty (the reference campaign,
+// as the --faulty golden), overlap (the overlapping-burst campaign:
+// concurrent per-cluster recoveries; needs >= 4 clusters).
 //
 // Exit status: 0 all runs clean, 1 any violation/mismatch, 2 usage error.
 
@@ -311,20 +311,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string proto = flags.get("protocol", "hc3i");
-    if (proto == "hc3i") {
-      sweep.protocol = driver::ProtocolKind::kHc3i;
-    } else if (proto == "independent") {
-      sweep.protocol = driver::ProtocolKind::kIndependent;
-    } else if (proto == "coordinated-global") {
-      sweep.protocol = driver::ProtocolKind::kCoordinatedGlobal;
-    } else if (proto == "pessimistic-log") {
-      sweep.protocol = driver::ProtocolKind::kPessimisticLog;
-    } else if (proto == "hierarchical-coordinated") {
-      sweep.protocol = driver::ProtocolKind::kHierarchicalCoordinated;
-    } else {
+    const auto protocol = driver::parse_protocol(proto);
+    if (!protocol) {
       std::fprintf(stderr, "unknown --protocol=%s\n", proto.c_str());
       return 2;
     }
+    sweep.protocol = *protocol;
   }
 
   batch::RunnerOptions opts;

@@ -18,17 +18,11 @@ std::shared_ptr<const fault::Campaign> materialize(
   switch (point.kind) {
     case CampaignPoint::Kind::kNone:
       return nullptr;
-    case CampaignPoint::Kind::kReference: {
-      auto plan = std::make_shared<fault::Campaign>(
+    case CampaignPoint::Kind::kReference:
+      return std::make_shared<fault::Campaign>(
           fault::reference_scale_campaign(spec.topology.cluster_count(),
                                           spec.topology.clusters[0].nodes,
                                           spec.application.total_time));
-      // The reference campaign's golden history predates concurrent
-      // recoveries; it always runs in legacy serialized mode (the same
-      // pinning scale_federation --faulty applies).
-      plan->serialize_faults = true;
-      return plan;
-    }
     case CampaignPoint::Kind::kOverlap:
       return std::make_shared<fault::Campaign>(
           fault::reference_overlap_campaign(spec.topology.cluster_count(),
@@ -223,20 +217,6 @@ std::uint64_t want_uint(const Section& sec, const std::string& origin,
   return *v;
 }
 
-driver::ProtocolKind parse_protocol(const std::string& name,
-                                    const std::string& origin, int line) {
-  if (name == "hc3i") return driver::ProtocolKind::kHc3i;
-  if (name == "independent") return driver::ProtocolKind::kIndependent;
-  if (name == "coordinated-global") {
-    return driver::ProtocolKind::kCoordinatedGlobal;
-  }
-  if (name == "pessimistic-log") return driver::ProtocolKind::kPessimisticLog;
-  if (name == "hierarchical-coordinated") {
-    return driver::ProtocolKind::kHierarchicalCoordinated;
-  }
-  fail(origin, line, "unknown protocol '" + name + "'");
-}
-
 }  // namespace
 
 std::vector<std::uint64_t> parse_seed_list(const std::string& text,
@@ -283,7 +263,11 @@ SweepSpec parse_sweep(std::string_view text, const std::string& origin) {
           sweep.seeds = parse_seed_list(
               value, origin + ":" + std::to_string(sec.line));
         } else if (key == "protocol") {
-          sweep.protocol = parse_protocol(value, origin, sec.line);
+          const auto protocol = driver::parse_protocol(value);
+          if (!protocol) {
+            fail(origin, sec.line, "unknown protocol '" + value + "'");
+          }
+          sweep.protocol = *protocol;
         } else {
           fail(origin, sec.line, "unknown [sweep] key '" + key + "'");
         }

@@ -44,7 +44,7 @@ struct TopologyPoint {
 struct CampaignPoint {
   enum class Kind : std::uint8_t {
     kNone,       ///< failure-free
-    kReference,  ///< fault::reference_scale_campaign, legacy serialized mode
+    kReference,  ///< fault::reference_scale_campaign
     kOverlap,    ///< fault::reference_overlap_campaign (needs >= 4 clusters)
     kExplicit,   ///< `plan` as given
   };

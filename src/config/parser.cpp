@@ -275,19 +275,7 @@ fault::Campaign parse_campaign(std::string_view text, const TopologySpec& topo,
     return *v;
   };
   for (const auto& sec : parse_sections(text, origin)) {
-    if (sec.name == "options") {
-      if (sec.values.count("serialize_faults")) {
-        const std::string& v = sec.values.at("serialize_faults");
-        if (v == "true") {
-          plan.serialize_faults = true;
-        } else if (v == "false") {
-          plan.serialize_faults = false;
-        } else {
-          fail(origin, sec.line,
-               "bad boolean for 'serialize_faults' (want true/false)");
-        }
-      }
-    } else if (sec.name == "kill") {
+    if (sec.name == "kill") {
       fault::KillSpec k;
       k.at = need_duration(sec, "at", origin);
       k.victim = NodeId{static_cast<std::uint32_t>(need_uint(sec, "node", origin))};

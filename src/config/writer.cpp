@@ -132,12 +132,6 @@ std::string write_application(const ApplicationSpec& app) {
 std::string write_campaign(const fault::Campaign& plan) {
   std::ostringstream os;
   os << "# HC3I fault campaign file\n";
-  if (plan.serialize_faults) {
-    // Emitted only when set so pre-existing campaign files stay byte-
-    // identical (concurrent per-cluster recoveries are the default).
-    os << "\n[options]\n";
-    os << "serialize_faults = true\n";
-  }
   for (const auto& k : plan.kills) {
     os << "\n[kill]\n";
     os << "at = " << duration_text(k.at) << "\n";

@@ -27,6 +27,17 @@ std::string to_string(ProtocolKind kind) {
   HC3I_UNREACHABLE("bad ProtocolKind");
 }
 
+std::optional<ProtocolKind> parse_protocol(std::string_view name) {
+  if (name == "hc3i") return ProtocolKind::kHc3i;
+  if (name == "independent") return ProtocolKind::kIndependent;
+  if (name == "coordinated-global") return ProtocolKind::kCoordinatedGlobal;
+  if (name == "pessimistic-log") return ProtocolKind::kPessimisticLog;
+  if (name == "hierarchical-coordinated") {
+    return ProtocolKind::kHierarchicalCoordinated;
+  }
+  return std::nullopt;
+}
+
 std::uint64_t RunResult::clc_forced(ClusterId c) const {
   return registry.get("clc.forced.c" + std::to_string(c.v));
 }

@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/spec.hpp"
@@ -39,6 +41,10 @@ enum class ProtocolKind {
 
 /// Human-readable protocol name.
 std::string to_string(ProtocolKind kind);
+/// Parse a protocol name: "hc3i" or a baseline name as to_string prints it
+/// ("independent", "coordinated-global", "pessimistic-log",
+/// "hierarchical-coordinated"); empty optional on unknown input.
+std::optional<ProtocolKind> parse_protocol(std::string_view name);
 
 /// A failure to inject at a fixed simulated time.  Legacy shim: folded into
 /// the campaign as a `fault::KillSpec` at run time (same semantics, byte-

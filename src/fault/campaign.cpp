@@ -140,7 +140,7 @@ Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
   const auto frac = [total](double f) {
     return SimTime{static_cast<std::int64_t>(static_cast<double>(total.ns) * f)};
   };
-  Campaign plan;  // serialize_faults stays off: overlap is the point
+  Campaign plan;
   // A solo kill well clear of everything else (the single-incident baseline
   // row of the incident table).
   plan.kills.push_back(KillSpec{frac(0.20), NodeId{nodes / 2}});

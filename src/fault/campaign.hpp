@@ -10,8 +10,9 @@
 // Rollback.FailureBetweenPhase1AcksLeavesNoStaleDdv).  A fault::Campaign is
 // the declarative form of all of those: a list of typed injectors that the
 // CampaignEngine (fault/engine.hpp) compiles into simulator events against a
-// live federation, with one-fault-at-a-time serialisation (paper §2.1) and
-// per-incident recovery telemetry (fault/telemetry.hpp).
+// live federation, with at most one fault in flight per cluster (paper §2.1
+// read cluster-locally) and per-incident recovery telemetry
+// (fault/telemetry.hpp).
 //
 // This header is pure data + validation: it depends only on config/spec and
 // util so the config parser/writer (campaign files) and the driver can share
@@ -32,9 +33,9 @@
 namespace hc3i::fault {
 
 /// One-shot kill at a fixed simulated time (subsumes the driver's legacy
-/// `ScriptedFailure`).  If a previous fault's recovery is still pending at
-/// `at`, the kill is dropped and counted under `fault.skipped_overlap`
-/// (the legacy scripted-failure semantics, kept bit-compatible).
+/// `ScriptedFailure`).  If the victim's cluster is still recovering at
+/// `at`, the kill queues on that cluster's FIFO (counted under
+/// `fault.queued_same_cluster`) and fires when that recovery completes.
 struct KillSpec {
   SimTime at{};
   NodeId victim{};
@@ -44,9 +45,10 @@ struct KillSpec {
 /// Poisson/MTBF failure stream: exponential inter-arrival times with mean
 /// `mtbf`, victims drawn uniformly from `cluster` (or the whole federation
 /// when `cluster` is empty — the legacy `auto_failures` behaviour).  A
-/// firing that lands while a recovery is pending is deferred: a fresh gap is
-/// drawn once the recovery completes.  The stream dies permanently when a
-/// draw lands past min(`stop`, quiesce bound).
+/// firing that lands while its cluster (or, federation-wide, the drawn
+/// victim's cluster) is recovering blocks: a fresh gap is drawn once that
+/// recovery completes.  The stream dies permanently when a draw lands past
+/// min(`stop`, quiesce bound).
 struct StreamSpec {
   std::optional<ClusterId> cluster;  ///< empty = federation-wide
   SimTime mtbf{};
@@ -57,10 +59,10 @@ struct StreamSpec {
 
 /// Correlated burst: `kills` distinct nodes of one cluster within `window`
 /// of `at` — the rack-loss pattern.  The protocol model admits one fault at
-/// a time, so the burst is the fastest legal serialisation: kills are spaced
-/// evenly across the window and any kill that lands mid-recovery fires the
-/// instant that recovery completes.  Victims are the cluster's nodes in
-/// local order starting at `first_victim`.
+/// a time per cluster, so the burst is the fastest legal serialisation:
+/// kills are spaced evenly across the window and any kill that lands
+/// mid-recovery fires the instant that recovery completes.  Victims are the
+/// cluster's nodes in local order starting at `first_victim`.
 struct BurstSpec {
   ClusterId cluster{};
   std::uint32_t kills{2};
@@ -92,7 +94,8 @@ enum class Phase : std::uint8_t {
 /// `cluster` (at or after `not_before`) has collected `after_acks` phase-1
 /// acks but has not committed — the generalisation of the hand-built
 /// mid-round race regression.  `kCommit` fires right after that round
-/// commits.  One-shot; skipped (and counted) if a recovery is pending.
+/// commits.  One-shot; skipped (and counted) if `victim`'s own cluster is
+/// recovering.
 struct PhaseTriggerSpec {
   ClusterId cluster{};
   Phase phase{Phase::kPhase1Acks};
@@ -113,15 +116,6 @@ struct Campaign {
   std::vector<BurstSpec> bursts;
   std::vector<RepeatSpec> repeats;
   std::vector<PhaseTriggerSpec> phase_triggers;
-
-  /// Legacy serialisation mode: one fault at a time *federation-wide* (the
-  /// paper's §2.1 reading, and the semantics of every run before concurrent
-  /// recoveries landed).  Default off: injections targeting disjoint
-  /// clusters recover concurrently and only same-cluster injections queue
-  /// behind an in-flight recovery (see fault/engine.hpp).  The
-  /// `scale_federation --faulty` CI golden runs with this flag on, pinning
-  /// the legacy byte-identical dumps forever.
-  bool serialize_faults{false};
 
   bool operator==(const Campaign&) const = default;
 
@@ -162,10 +156,9 @@ Campaign reference_scale_campaign(std::size_t clusters, std::uint32_t nodes,
 /// instant in *disjoint* clusters, a scripted kill lands in cluster 0 at
 /// that instant and a second cluster-0 kill 20 ms later exercises the
 /// kill-during-recovery queue (`fault.queued_same_cluster`).  Requires
-/// `clusters >= 4`; `serialize_faults` is left off — this campaign exists
-/// to overlap recoveries.  Used by the `scale_fed_overlap` bench kernel,
-/// the `scale_federation --overlap` CI golden and `fault_campaign
-/// --overlap`.
+/// `clusters >= 4`; this campaign exists to overlap recoveries.  Used by
+/// the `scale_fed_overlap` bench kernel, the `scale_federation --overlap`
+/// CI golden and `fault_campaign --overlap`.
 Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
                                     SimTime total);
 

@@ -31,7 +31,6 @@ CampaignEngine::CampaignEngine(fed::Federation& fed,
       rt_(runtime),
       plan_(std::move(plan)),
       bound_(quiesce_bound),
-      serialize_(plan_.serialize_faults),
       telemetry_(fed.registry(), fed.ledger()),
       cluster_queue_(fed.topology().cluster_count()) {}
 
@@ -74,7 +73,7 @@ void CampaignEngine::arm() {
   for (std::size_t i = 0; i < plan_.streams.size(); ++i) {
     const StreamSpec& spec = plan_.streams[i];
     streams_.push_back(StreamState{spec, sim().rng_stream(stream_rng_id(i)),
-                                   std::min(spec.stop, bound_), false});
+                                   std::min(spec.stop, bound_)});
     if (spec.start <= sim().now()) {
       schedule_stream_next(i);
     } else {
@@ -84,14 +83,9 @@ void CampaignEngine::arm() {
 
   for (const KillSpec& k : plan_.kills) {
     sim().schedule_at(k.at, [this, k] {
-      if (serialize_) {
-        inject_or_skip(k.victim, "scripted");
-      } else {
-        // Concurrent mode: a scripted kill into a recovering cluster is a
-        // deliberate kill-during-recovery — queue it rather than drop it.
-        inject_or_queue_cluster(k.victim, "scripted",
-                                "fault.queued_same_cluster");
-      }
+      // A scripted kill into a recovering cluster is a deliberate
+      // kill-during-recovery — queue it rather than drop it.
+      inject_or_queue(k.victim, "scripted", "fault.queued_same_cluster");
     });
   }
 
@@ -100,8 +94,8 @@ void CampaignEngine::arm() {
     const std::uint32_t size = topo.cluster_size(b.cluster);
     const NodeId base = topo.first_node(b.cluster);
     for (std::uint32_t j = 0; j < b.kills; ++j) {
-      // Kills spaced evenly across [at, at + window]; the one-fault-at-a-
-      // time model serialises whatever lands inside a recovery.
+      // Kills spaced evenly across [at, at + window]; the cluster's FIFO
+      // serialises whatever lands inside its recovery.
       const SimTime when =
           b.kills > 1 ? SimTime{b.at.ns + (b.window.ns *
                                            static_cast<std::int64_t>(j)) /
@@ -109,11 +103,7 @@ void CampaignEngine::arm() {
                       : b.at;
       const NodeId victim{base.v + (b.first_victim + j) % size};
       sim().schedule_at(when, [this, victim] {
-        if (serialize_) {
-          inject_or_queue(victim, "burst");
-        } else {
-          inject_or_queue_cluster(victim, "burst", "fault.deferred");
-        }
+        inject_or_queue(victim, "burst", "fault.deferred");
       });
     }
   }
@@ -124,11 +114,7 @@ void CampaignEngine::arm() {
       if (when > bound_) break;  // clamp occurrences past the quiesce bound
       const NodeId victim = r.victim;
       sim().schedule_at(when, [this, victim] {
-        if (serialize_) {
-          inject_or_queue(victim, "repeat");
-        } else {
-          inject_or_queue_cluster(victim, "repeat", "fault.deferred");
-        }
+        inject_or_queue(victim, "repeat", "fault.deferred");
       });
     }
   }
@@ -155,43 +141,14 @@ void CampaignEngine::inject(NodeId victim, const char* source) {
   fed_.inject_failure(victim);
 }
 
-void CampaignEngine::inject_or_queue(NodeId victim, const char* source) {
+void CampaignEngine::inject_or_queue(NodeId victim, const char* source,
+                                     const char* counter) {
   if (sim().now() > bound_) {
-    // A deferral pushed this kill past the quiesce bound (arm() only checks
+    // A queue drained this kill past the quiesce bound (arm() only checks
     // the *scheduled* times): injecting now would leave the recovery — and
     // for message-logging protocols the replay of lost work — no runway
     // before strict validation, the ghost-send hazard the bound exists to
     // prevent.  Drop and count instead.
-    fed_.registry().inc("fault.skipped_quiesce");
-    return;
-  }
-  if (fed_.recovery_pending()) {
-    pending_.push_back(PendingKill{victim, source});
-    fed_.registry().inc("fault.deferred");
-    return;
-  }
-  inject(victim, source);
-}
-
-void CampaignEngine::inject_or_skip(NodeId victim, const char* source) {
-  if (sim().now() > bound_) {
-    // Phase-targeted triggers can match a round that runs in the drain
-    // window; past the bound the kill could not settle (see above).
-    fed_.registry().inc("fault.skipped_quiesce");
-    return;
-  }
-  if (fed_.recovery_pending()) {
-    fed_.registry().inc("fault.skipped_overlap");
-    return;
-  }
-  inject(victim, source);
-}
-
-void CampaignEngine::inject_or_queue_cluster(NodeId victim, const char* source,
-                                             const char* counter) {
-  if (sim().now() > bound_) {
-    // A queued kill drained past the quiesce bound — same ghost-send hazard
-    // as the legacy deferral path above.
     fed_.registry().inc("fault.skipped_quiesce");
     return;
   }
@@ -204,9 +161,10 @@ void CampaignEngine::inject_or_queue_cluster(NodeId victim, const char* source,
   inject(victim, source);
 }
 
-void CampaignEngine::inject_or_skip_cluster(NodeId victim,
-                                            const char* source) {
+void CampaignEngine::inject_or_skip(NodeId victim, const char* source) {
   if (sim().now() > bound_) {
+    // Phase-targeted triggers can match a round that runs in the drain
+    // window; past the bound the kill could not settle (see above).
     fed_.registry().inc("fault.skipped_quiesce");
     return;
   }
@@ -234,14 +192,8 @@ void CampaignEngine::schedule_stream_next(std::size_t i) {
 
 void CampaignEngine::stream_fire(std::size_t i) {
   StreamState& st = streams_[i];
-  if (serialize_ && fed_.recovery_pending()) {
-    // One fault at a time: a fresh gap is drawn once recovery completes.
-    st.deferred = true;
-    return;
-  }
   const net::Topology& topo = fed_.topology();
-  if (!serialize_ && st.spec.cluster &&
-      fed_.recovery_pending(*st.spec.cluster)) {
+  if (st.spec.cluster && fed_.recovery_pending(*st.spec.cluster)) {
     // Per-cluster stream: its own cluster is recovering.  Block *before*
     // drawing a victim so the redraw at completion starts from the same
     // RNG position a never-blocked stream would use.
@@ -258,7 +210,7 @@ void CampaignEngine::stream_fire(std::size_t i) {
     victim = NodeId{
         static_cast<std::uint32_t>(st.rng.next_below(topo.node_count()))};
   }
-  if (!serialize_ && fed_.recovery_pending(cluster_of(victim))) {
+  if (fed_.recovery_pending(cluster_of(victim))) {
     // Federation-wide stream: the drawn victim's cluster is mid-recovery.
     // Block on that cluster; the completion redraw picks gap and victim
     // afresh.
@@ -279,13 +231,8 @@ void CampaignEngine::trigger_matched(TriggerState& t) {
   const NodeId victim = t.spec.victim;
   // Deferred one (zero-delay) event so the kill never mutates network state
   // from inside the protocol handler that reported the phase.
-  sim().schedule_after(SimTime::zero(), [this, victim] {
-    if (serialize_) {
-      inject_or_skip(victim, "phase");
-    } else {
-      inject_or_skip_cluster(victim, "phase");
-    }
-  });
+  sim().schedule_after(SimTime::zero(),
+                       [this, victim] { inject_or_skip(victim, "phase"); });
 }
 
 void CampaignEngine::on_phase1_ack(ClusterId cluster, std::uint64_t /*round*/,
@@ -320,27 +267,7 @@ void CampaignEngine::on_failure_detected(ClusterId cluster,
 
 void CampaignEngine::on_recovery(ClusterId cluster) {
   telemetry_.on_recovery_complete(sim().now(), cluster);
-  if (serialize_) {
-    if (!pending_.empty()) {
-      // Burst/repeat kills fire the instant the blocking recovery completes,
-      // one per completion (injecting sets recovery_pending again).  Streams
-      // stay deferred until the queue drains.
-      const PendingKill k = pending_.front();
-      pending_.erase(pending_.begin());
-      sim().schedule_after(SimTime::zero(), [this, k] {
-        inject_or_queue(k.victim, k.source);
-      });
-      return;
-    }
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      if (streams_[i].deferred) {
-        streams_[i].deferred = false;
-        schedule_stream_next(i);
-      }
-    }
-    return;
-  }
-  // Concurrent mode: only *this* cluster's queue unblocks.  One queued kill
+  // Only *this* cluster's queue unblocks.  One queued kill
   // fires per completion (re-injecting marks the cluster pending again, so
   // the rest of the queue drains recovery by recovery); streams blocked on
   // the cluster stay blocked while its queue holds kills.
@@ -349,7 +276,7 @@ void CampaignEngine::on_recovery(ClusterId cluster) {
     const PendingKill k = queue.front();
     queue.erase(queue.begin());
     sim().schedule_after(SimTime::zero(), [this, k] {
-      inject_or_queue_cluster(k.victim, k.source, k.counter);
+      inject_or_queue(k.victim, k.source, k.counter);
     });
     return;
   }

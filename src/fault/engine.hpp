@@ -3,7 +3,7 @@
 // CampaignEngine — compiles a declarative fault::Campaign into simulator
 // events against a live federation and owns the recovery telemetry.
 //
-// Concurrency model (default): at most one fault in flight *per cluster*.
+// Concurrency model: at most one fault in flight *per cluster*.
 // Disjoint-cluster injections recover concurrently — the hierarchy exists
 // precisely so independent cluster failures stay independent — while the
 // paper's §2.1 one-fault assumption is enforced cluster-locally:
@@ -11,30 +11,13 @@
 //   * a kill aimed at a cluster that is already recovering queues on that
 //     cluster's FIFO and fires the instant *that cluster's* recovery
 //     completes (scripted kills count `fault.queued_same_cluster`,
-//     burst/repeat kills keep the legacy `fault.deferred` name);
+//     burst/repeat kills count `fault.deferred`);
 //   * per-cluster streams block — without consuming a draw — while their
 //     own cluster recovers, and redraw at its completion; federation-wide
 //     streams draw the victim first and block on the victim's cluster;
 //   * phase-targeted triggers skip (`fault.skipped_overlap`) only when
 //     their *own* cluster is recovering — a remote cluster's rollback does
 //     not invalidate "between phase-1 ack and commit" here.
-//
-// Legacy serialisation model (`Campaign::serialize_faults`, the pre-PR-6
-// behaviour, kept bit-compatible for golden reproduction): one fault at a
-// time federation-wide —
-//
-//   * scripted kills that land while any recovery is pending are dropped
-//     and counted under `fault.skipped_overlap` — the exact semantics of
-//     the legacy `driver::ScriptedFailure` path;
-//   * stream firings defer: a fresh exponential gap is drawn when the
-//     blocking recovery completes (the legacy `auto_failures` semantics,
-//     same RNG stream id for the federation-wide shim);
-//   * burst and repeat kills queue FIFO and fire the instant the blocking
-//     recovery completes — a rack loss is modelled as the fastest legal
-//     serialisation of its kills;
-//   * phase-targeted triggers are one-shot: a trigger whose moment arrives
-//     mid-recovery is skipped and counted, because "between phase-1 ack and
-//     commit" cannot be deferred and still mean anything.
 //
 // Quiesce bound: the driver passes the same bound it applies to automatic
 // failures (for message-logging protocols the horizon minus one checkpoint
@@ -92,10 +75,9 @@ class CampaignEngine final : public core::ProtocolObserver {
   struct StreamState {
     StreamSpec spec;
     RngStream rng;
-    SimTime stop{};        ///< spec.stop clamped to the quiesce bound
-    bool deferred{false};  ///< legacy mode: waiting for any recovery
-    std::optional<ClusterId> blocked_on{};  ///< concurrent mode: waiting for
-                                            ///< this cluster's recovery
+    SimTime stop{};  ///< spec.stop clamped to the quiesce bound
+    std::optional<ClusterId> blocked_on{};  ///< waiting for this cluster's
+                                            ///< recovery
   };
   struct TriggerState {
     PhaseTriggerSpec spec;
@@ -116,19 +98,12 @@ class CampaignEngine final : public core::ProtocolObserver {
   /// Inject now (caller ensured the victim's cluster is clear) and open the
   /// incident record.
   void inject(NodeId victim, const char* source);
-  /// Legacy: inject, or queue FIFO behind *any* pending recovery
-  /// (bursts/repeats).
-  void inject_or_queue(NodeId victim, const char* source);
-  /// Legacy: inject, or drop with `fault.skipped_overlap` (kills/phase
-  /// triggers).
+  /// Inject, or queue on the victim's cluster FIFO, bumping `counter` each
+  /// time it queues.
+  void inject_or_queue(NodeId victim, const char* source, const char* counter);
+  /// Inject, or drop with `fault.skipped_overlap` iff the victim's *own*
+  /// cluster is recovering (phase triggers).
   void inject_or_skip(NodeId victim, const char* source);
-  /// Concurrent: inject, or queue on the victim's cluster FIFO, bumping
-  /// `counter` each time it queues.
-  void inject_or_queue_cluster(NodeId victim, const char* source,
-                               const char* counter);
-  /// Concurrent: inject, or drop with `fault.skipped_overlap` iff the
-  /// victim's *own* cluster is recovering (phase triggers).
-  void inject_or_skip_cluster(NodeId victim, const char* source);
 
   void schedule_stream_next(std::size_t i);
   void stream_fire(std::size_t i);
@@ -139,12 +114,10 @@ class CampaignEngine final : public core::ProtocolObserver {
   core::Hc3iRuntime* rt_;
   Campaign plan_;
   SimTime bound_;
-  bool serialize_;  ///< legacy one-fault-federation-wide mode
   RecoveryTelemetry telemetry_;
   std::vector<StreamState> streams_;
   std::vector<TriggerState> triggers_;
-  std::vector<PendingKill> pending_;  ///< legacy global FIFO, front at 0
-  std::vector<std::vector<PendingKill>> cluster_queue_;  ///< concurrent FIFOs
+  std::vector<std::vector<PendingKill>> cluster_queue_;  ///< per-cluster FIFOs
   bool armed_{false};
 };
 

@@ -82,7 +82,6 @@ void Federation::inject_failure(NodeId victim) {
                  "in flight per cluster)");
   HC3I_CHECK(network_.node_up(victim), "inject_failure: node already down");
   recovery_pending_[c.v] = 1;
-  ++recoveries_in_flight_;
   ++failures_;
   registry_.inc("fault.injected");
   HC3I_OBS(recorder_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
@@ -106,10 +105,7 @@ void Federation::inject_failure(NodeId victim) {
 void Federation::recovery_complete(ClusterId c) {
   HC3I_OBS(recorder_, obs::RecordKind::kRecoveryEnd, sim_.now(), c.v, 0, 0);
   registry_.inc("fault.recovery_complete");
-  if (recovery_pending_[c.v]) {
-    recovery_pending_[c.v] = 0;
-    --recoveries_in_flight_;
-  }
+  recovery_pending_[c.v] = 0;
   if (recovery_listener_) recovery_listener_(c);
 }
 

@@ -23,8 +23,8 @@
 // lives outside: the fault-campaign engine (src/fault/engine.hpp) decides
 // *when* and *whom* to kill, calls inject_failure(), and observes
 // recovery_complete() — which reports *which* cluster finished — through
-// the recovery listener to queue same-cluster kills (or, in legacy
-// serialized mode, every kill) and to time recoveries.
+// the recovery listener to queue same-cluster kills and to time
+// recoveries.
 
 #include <functional>
 #include <memory>
@@ -93,15 +93,10 @@ class Federation {
 
   /// Failures injected so far.
   std::uint32_t failures_injected() const { return failures_; }
-  /// True while any failure's recovery is pending (the legacy serialized
-  /// engine's gate).
-  bool recovery_pending() const { return recoveries_in_flight_ > 0; }
   /// True while cluster `c`'s own fault recovery is pending.
   bool recovery_pending(ClusterId c) const {
     return recovery_pending_[c.v] != 0;
   }
-  /// Number of clusters currently recovering from an injected fault.
-  std::uint32_t recoveries_in_flight() const { return recoveries_in_flight_; }
 
  private:
   SimTime state_restore_delay(ClusterId c) const;
@@ -116,7 +111,6 @@ class Federation {
   obs::Recorder* recorder_{nullptr};
   std::function<void(ClusterId)> recovery_listener_;
   std::vector<std::uint8_t> recovery_pending_;  ///< per cluster, 0/1
-  std::uint32_t recoveries_in_flight_{0};
   std::uint32_t failures_{0};
 };
 

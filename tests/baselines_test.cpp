@@ -167,6 +167,19 @@ TEST(AllProtocols, NamesAreStable) {
             "pessimistic-log");
   EXPECT_EQ(driver::to_string(driver::ProtocolKind::kHierarchicalCoordinated),
             "hierarchical-coordinated");
+  // parse_protocol accepts every printed name (HC3I in lower case).
+  for (const driver::ProtocolKind kind :
+       {driver::ProtocolKind::kHc3i, driver::ProtocolKind::kIndependent,
+        driver::ProtocolKind::kCoordinatedGlobal,
+        driver::ProtocolKind::kPessimisticLog,
+        driver::ProtocolKind::kHierarchicalCoordinated}) {
+    const std::string name = kind == driver::ProtocolKind::kHc3i
+                                 ? "hc3i"
+                                 : driver::to_string(kind);
+    EXPECT_EQ(driver::parse_protocol(name), kind) << name;
+  }
+  EXPECT_EQ(driver::parse_protocol("HC3I"), std::nullopt);
+  EXPECT_EQ(driver::parse_protocol("global"), std::nullopt);
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ TEST(Campaign, ScriptedKillViaCampaignInjects) {
 
 TEST(Campaign, BurstSerialisesRackLoss) {
   auto opts = small_opts(2, 4);
-  opts.campaign.serialize_faults = true;  // the legacy one-fault-at-a-time mode
   fault::BurstSpec burst;
   burst.cluster = ClusterId{1};
   burst.kills = 3;
@@ -430,7 +429,6 @@ TEST(Campaign, ReportRendersRecoveryCountersAndIncidentTable) {
 
 fault::Campaign full_campaign() {
   fault::Campaign plan;
-  plan.serialize_faults = true;  // round-trips through [options]
   plan.kills.push_back(fault::KillSpec{minutes(6), NodeId{5}});
   plan.kills.push_back(fault::KillSpec{minutes(9), NodeId{0}});
   fault::StreamSpec fed_stream;
@@ -508,6 +506,11 @@ TEST(CampaignConfig, RejectsBadInput) {
                    "[burst]\ncluster = 0\nkills = 9\nat = 1min\nwindow = 1min\n",
                    topo, "<t>"),
                config::ParseError);
+  // The removed federation-wide serialization knob fails loudly.
+  EXPECT_THROW(
+      config::parse_campaign("[options]\nserialize_faults = true\n", topo,
+                             "<t>"),
+      config::ParseError);
 }
 
 TEST(CampaignConfig, ValidateCatchesStructuralMistakes) {

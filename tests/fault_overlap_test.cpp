@@ -130,9 +130,8 @@ TEST(FaultOverlap, SameClusterKillDuringRecoveryQueues) {
 }
 
 // A phase-targeted trigger whose moment arrives while a *remote* cluster is
-// recovering fires in concurrent mode (the remote rollback does not
-// invalidate this cluster's phase window) but is skipped in legacy
-// serialized mode.
+// recovering still fires: the remote rollback does not invalidate this
+// cluster's phase window.
 TEST(FaultOverlap, TriggerToleratesRemoteRecovery) {
   // Probe: find when cluster 0's first CLC commit past the 8-minute mark
   // actually lands (commits are not on an exact period grid).
@@ -152,35 +151,24 @@ TEST(FaultOverlap, TriggerToleratesRemoteRecovery) {
   ASSERT_EQ(probed.incidents.size(), 1u);
   const SimTime commit_at = probed.incidents[0].injected_at;
 
-  // Real runs: kill a cluster-1 node 10ms before that commit, so the commit
+  // Real run: kill a cluster-1 node 10ms before that commit, so the commit
   // lands inside cluster 1's ~56ms recovery window.
-  const auto make_opts = [&](bool serialize) {
-    driver::RunOptions opts;
-    opts.spec = config::small_test_spec(2, 3);
-    opts.campaign.serialize_faults = serialize;
-    opts.campaign.kills.push_back(
-        fault::KillSpec{commit_at - milliseconds(10), NodeId{4}});
-    opts.campaign.phase_triggers.push_back(
-        make_trigger(commit_at - milliseconds(5)));
-    return opts;
-  };
+  driver::RunOptions opts;
+  opts.spec = config::small_test_spec(2, 3);
+  opts.campaign.kills.push_back(
+      fault::KillSpec{commit_at - milliseconds(10), NodeId{4}});
+  opts.campaign.phase_triggers.push_back(
+      make_trigger(commit_at - milliseconds(5)));
 
-  const auto concurrent = driver::run_simulation(make_opts(false));
-  EXPECT_TRUE(concurrent.violations.empty());
-  EXPECT_EQ(concurrent.counter("fault.injected"), 2u);
-  EXPECT_EQ(concurrent.counter("fault.skipped_overlap"), 0u);
-  ASSERT_EQ(concurrent.incidents.size(), 2u);
-  EXPECT_STREQ(concurrent.incidents[1].source, "phase");
-  EXPECT_EQ(concurrent.incidents[1].cluster, ClusterId{0});
+  const auto result = driver::run_simulation(opts);
+  EXPECT_TRUE(result.violations.empty());
+  EXPECT_EQ(result.counter("fault.injected"), 2u);
+  EXPECT_EQ(result.counter("fault.skipped_overlap"), 0u);
+  ASSERT_EQ(result.incidents.size(), 2u);
+  EXPECT_STREQ(result.incidents[1].source, "phase");
+  EXPECT_EQ(result.incidents[1].cluster, ClusterId{0});
   // The phase kill recovered while cluster 1 was still recovering.
-  EXPECT_EQ(concurrent.fault_summary.max_overlap, 2u);
-
-  const auto serialized = driver::run_simulation(make_opts(true));
-  EXPECT_TRUE(serialized.violations.empty());
-  EXPECT_EQ(serialized.counter("fault.injected"), 1u);
-  EXPECT_EQ(serialized.counter("fault.skipped_overlap"), 1u);
-  ASSERT_EQ(serialized.incidents.size(), 1u);
-  EXPECT_STREQ(serialized.incidents[0].source, "scripted");
+  EXPECT_EQ(result.fault_summary.max_overlap, 2u);
 }
 
 // A per-cluster stream is deaf to remote recoveries: adding a scripted kill
