@@ -606,7 +606,17 @@ void Hc3iAgent::on_failure_detected(NodeId failed) {
     ob->on_failure_detected(cluster(), failed);
   }
   stat(stat_rollback_faults_, "rollback.faults").inc();
-  proto::ClcRecord rec = store().last();  // copy: the store gets truncated
+  // Paper §4: the first CLC "is the beginning of the application".  A fault
+  // while the initial round is still in phase 1 restarts the cluster from
+  // that beginning: SN 0, the zero DDV, the empty ledger cut and a fresh
+  // process image on every node.
+  proto::ClcRecord rec;  // a copy: the store gets truncated
+  if (store().empty()) {
+    rec.ddv = proto::Ddv(rt_.cluster_count(), cluster(), 0);
+    rec.parts.resize(ctx_.topology->cluster_size(cluster()));
+  } else {
+    rec = store().last();
+  }
   // The failed node lost its volatile memory; it will restore the
   // checkpointed copy of its log (survivors keep and truncate theirs).
   for (Hc3iAgent* peer : rt_.cluster_agents(cluster())) {
@@ -669,7 +679,8 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
 
   // 5. Re-inject the channel state once every node has restored.
   SimTime resume_delay = state_restore_delay();
-  if (const storage::Backend* be = rt_.backend(c)) {
+  const storage::Backend* be = rt_.backend(c);
+  if (be != nullptr && !store().empty()) {
     // Storage-modelled recovery: every node re-reads its checkpoint chain
     // (its part of the restored CLC plus the deltas back to the nearest
     // full image) before the application can resume.
@@ -706,6 +717,12 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
     }
     if (inc_ == new_inc && rt_.take_fault_recovery_owed(cluster())) {
       ctx_.recovery_done(cluster());
+    }
+    // Restarted from the beginning of the application: take the first CLC
+    // again, as start() did.
+    Hc3iAgent* coordinator = rt_.cluster_agents(cluster()).front();
+    if (coordinator->inc_ == new_inc && store().empty()) {
+      coordinator->coordinator_begin_round(RoundReason::kInitial);
     }
   });
 
@@ -786,8 +803,11 @@ void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
 
   // Rollback decision first (paper §3.4): if our DDV entry for the faulty
   // cluster is >= the alerted SN, roll back to the target CLC, then alert
-  // the others with our own new SN (done inside rollback_cluster).
-  if (decide_needs_rollback(m.faulty, m.restored_sn)) {
+  // the others with our own new SN (done inside rollback_cluster).  SN 0
+  // is a restart from the beginning of the application, which no DDV entry
+  // can name (entries start at 0 and only a committed SN raises them): the
+  // alert only replays logged messages.
+  if (m.restored_sn > 0 && decide_needs_rollback(m.faulty, m.restored_sn)) {
     const proto::ClcRecord* target =
         find_rollback_target(m.faulty, m.restored_sn);
     HC3I_CHECK(target != nullptr,

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -107,20 +106,6 @@ class Log2Histogram {
  private:
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t total_{0};
-};
-
-/// An (x, y) series, e.g. a metric sampled against a swept parameter.
-/// This is what the figure benches emit.
-struct Series {
-  std::string name;
-  std::vector<double> x;
-  std::vector<double> y;
-
-  /// Append one point.
-  void add(double xv, double yv) {
-    x.push_back(xv);
-    y.push_back(yv);
-  }
 };
 
 }  // namespace hc3i::stats

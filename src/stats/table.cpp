@@ -128,23 +128,4 @@ std::string Table::to_csv() const {
   return os.str();
 }
 
-std::string render_series(const std::string& x_name,
-                          const std::vector<Series>& series, int precision) {
-  HC3I_CHECK(!series.empty(), "render_series: no series");
-  const std::size_t n = series.front().x.size();
-  for (const auto& s : series) {
-    HC3I_CHECK(s.x.size() == n && s.y.size() == n,
-               "render_series: series lengths differ");
-  }
-  std::vector<std::string> headers{x_name};
-  for (const auto& s : series) headers.push_back(s.name);
-  Table t(headers);
-  for (std::size_t i = 0; i < n; ++i) {
-    t.row();
-    t.cell(series.front().x[i], 0);
-    for (const auto& s : series) t.cell(s.y[i], precision);
-  }
-  return t.to_ascii();
-}
-
 }  // namespace hc3i::stats

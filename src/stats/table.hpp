@@ -2,16 +2,13 @@
 
 // Result-table construction and rendering.
 //
-// Every bench binary regenerates one of the paper's tables/figures and prints
-// it in the same row/series layout.  Table collects cells column-wise and
-// renders aligned ASCII (for the console), Markdown (for EXPERIMENTS.md) and
-// CSV (for plotting).
+// paper_check prints one table per paper artefact, and the run report its
+// incident table.  Table collects cells row by row and renders aligned ASCII
+// (for the console), Markdown (for EXPERIMENTS.md) and CSV (for plotting).
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "stats/accumulators.hpp"
 
 namespace hc3i::stats {
 
@@ -48,10 +45,5 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
   static const std::string kEmpty;
 };
-
-/// Render a set of (x, y) series as an aligned ASCII table with one x column
-/// and one column per series — the layout the figure benches print.
-std::string render_series(const std::string& x_name,
-                          const std::vector<Series>& series, int precision = 1);
 
 }  // namespace hc3i::stats

@@ -48,6 +48,43 @@ TEST(Campaign, ScriptedKillViaCampaignInjects) {
   EXPECT_GE(result.incidents[0].detected_at, result.incidents[0].injected_at);
 }
 
+TEST(Campaign, KillBeforeFirstClcCommitsRestartsFromInitialState) {
+  // At 1 ms every cluster's initial CLC round is still in phase 1, so the
+  // store holds no committed CLC.  Paper §4: the first CLC "is the
+  // beginning of the application" — the cluster restarts from there and
+  // takes its first CLC again.  With a storage backend there is no
+  // checkpoint chain to read back for that restart.
+  for (const auto protocol : {driver::ProtocolKind::kHc3i,
+                              driver::ProtocolKind::kIndependent}) {
+    for (const bool storage : {false, true}) {
+      SCOPED_TRACE(driver::to_string(protocol) +
+                   (storage ? " with a striped-remote store" : ""));
+      driver::RunOptions opts;
+      opts.spec = config::small_test_spec();
+      if (storage) {
+        for (config::ClusterSpec& c : opts.spec.topology.clusters) {
+          c.storage.kind = config::StorageSpec::Kind::kStripedRemote;
+        }
+      }
+      opts.protocol = protocol;
+      opts.validate = true;
+      opts.campaign.kills.push_back(
+          fault::KillSpec{milliseconds(1), NodeId{3}});
+      const auto result = driver::run_simulation(opts);
+      EXPECT_EQ(result.counter("fault.injected"), 1u);
+      EXPECT_EQ(result.counter("rollback.faults.c0"), 1u);
+      EXPECT_EQ(result.counter("rollback.cascade"), 0u);
+      EXPECT_EQ(result.counter("clc.initial.c0"), 1u);
+      EXPECT_EQ(result.counter("clc.initial.c1"), 1u);
+      EXPECT_EQ(result.counter("ckpt.bytes_written") > 0, storage);
+      EXPECT_EQ(result.counter("recovery.read_us"), 0u);
+      EXPECT_TRUE(result.violations.empty());
+      ASSERT_EQ(result.incidents.size(), 1u);
+      EXPECT_TRUE(result.incidents[0].recovery_complete);
+    }
+  }
+}
+
 TEST(Campaign, BurstSerialisesRackLoss) {
   auto opts = small_opts(2, 4);
   fault::BurstSpec burst;

@@ -220,25 +220,5 @@ TEST(Table, GuardsAgainstMisuse) {
   EXPECT_THROW(Table({}), CheckFailure);
 }
 
-TEST(Series, RenderAlignedColumns) {
-  Series a{"forced", {}, {}};
-  Series b{"unforced", {}, {}};
-  for (int x : {10, 20, 30}) {
-    a.add(x, x * 1.0);
-    b.add(x, x * 2.0);
-  }
-  const std::string out = render_series("timer", {a, b}, 1);
-  EXPECT_NE(out.find("timer"), std::string::npos);
-  EXPECT_NE(out.find("forced"), std::string::npos);
-  EXPECT_NE(out.find("60.0"), std::string::npos);
-}
-
-TEST(Series, RejectsRaggedInput) {
-  Series a{"a", {1.0}, {1.0}};
-  Series b{"b", {1.0, 2.0}, {1.0, 2.0}};
-  EXPECT_THROW(render_series("x", {a, b}), CheckFailure);
-  EXPECT_THROW(render_series("x", {}), CheckFailure);
-}
-
 }  // namespace
 }  // namespace hc3i::stats

@@ -14,17 +14,26 @@ skipped) for:
   * duplicate top-level titles (more than one leading `# ` heading),
   * subsystem coverage: every `src/<subsystem>/` directory must be
     mentioned in docs/architecture.md or docs/paper_map.md — a new
-    subsystem cannot land undocumented.
+    subsystem cannot land undocumented,
+  * binary names: every `./build/<name>` in a git-tracked *.md file must
+    name a target the top-level CMakeLists builds: one it names in an
+    `add_executable(<name> ...)` (paper_check) or one of its glob loops
+    makes (one per examples/*.cpp and tests/*_test.cpp) — a deleted
+    binary cannot stay in the docs.
 
 Exit status is non-zero when any check fails, so CI can gate on it.
 """
 
+import glob
 import os
 import re
+import subprocess
 import sys
 
 SKIP_DIRS = {"build", ".git", ".github", "node_modules"}
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+BUILD_REF_RE = re.compile(r"\./build/([A-Za-z0-9_]+)")
+NAMED_TARGET_RE = re.compile(r"^\s*add_executable\((\w+)", re.MULTILINE)
 
 
 def repo_root() -> str:
@@ -125,6 +134,26 @@ def check_subsystem_coverage(root: str):
     return errors
 
 
+def check_binary_names(root: str):
+    """Every ./build/<name> in a git-tracked *.md names a built binary."""
+    with open(os.path.join(root, "CMakeLists.txt"), encoding="utf-8") as f:
+        targets = set(NAMED_TARGET_RE.findall(f.read()))
+    targets |= {os.path.basename(p)[: -len(".cpp")]
+                for pattern in ("examples/*.cpp", "tests/*_test.cpp")
+                for p in glob.glob(os.path.join(root, pattern))}
+    tracked = subprocess.run(["git", "ls-files", "-z", "--", "*.md"],
+                             cwd=root, capture_output=True, check=True)
+    errors = []
+    for rel in filter(None, tracked.stdout.decode().split("\0")):
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                errors += [f"{rel}:{lineno}: ./build/{name} is not a target "
+                           "of the top-level CMakeLists.txt"
+                           for name in BUILD_REF_RE.findall(line)
+                           if name not in targets]
+    return errors
+
+
 def main() -> int:
     root = repo_root()
     all_errors = []
@@ -133,6 +162,7 @@ def main() -> int:
         checked += 1
         all_errors.extend(check_file(path, root))
     all_errors.extend(check_subsystem_coverage(root))
+    all_errors.extend(check_binary_names(root))
     for err in all_errors:
         print(f"error: {err}", file=sys.stderr)
     print(f"check_docs: {checked} markdown files, {len(all_errors)} errors")
