@@ -13,7 +13,8 @@
 //
 // --campaign loads a declarative fault plan (see config/parser.hpp for the
 // file format); the run report then includes the per-incident recovery
-// telemetry table.
+// telemetry table.  A plan whose same-cluster kill queue cannot drain before
+// the application's total_time is rejected (exit 2, injector named).
 //
 // --trace-out writes the structured protocol trace as Chrome/Perfetto
 // trace_event JSON (open in https://ui.perfetto.dev); --metrics-out writes
@@ -29,12 +30,19 @@
 //
 //   ./hc3i_sim configs/paper/topology.conf configs/paper/application.conf \
 //              configs/paper/timers.conf --trace=protocol
+//
+// configs/scale holds the 10x100 scale-out scenario (docs/scaling.md): its
+// three files, a striped-remote storage variant of the topology, and the
+// reference (faulty.campaign) and overlapping-burst (overlap.campaign) fault
+// plans; the scale goldens bench/golden_counters_scale*.txt are its
+// --dump-counters output.
 
 #include <cstdio>
 
 #include "config/parser.hpp"
 #include "driver/report.hpp"
 #include "driver/run.hpp"
+#include "fault/campaign.hpp"
 #include "obs/export.hpp"
 #include "util/flags.hpp"
 #include "util/quantity.hpp"
@@ -79,6 +87,11 @@ int main(int argc, char** argv) {
     if (!campaign_path.empty()) {
       opts.campaign = config::parse_campaign(
           config::read_file(campaign_path), opts.spec.topology, campaign_path);
+      // A burst denser than its cluster's recovery rate queues kills that
+      // cannot fire before the horizon: reject the file, naming the
+      // injector.
+      fault::check_queue_bounds(opts.campaign, opts.spec,
+                                opts.spec.application.total_time);
     }
     opts.validate = false;  // report violations instead of throwing
 

@@ -9,6 +9,11 @@
 //
 //   ./sweep                                        # 2,5,10-cluster grid x 3 seeds
 //   ./sweep --clusters=2,5,10 --campaigns=none,faulty --seeds=1..5
+//   ./sweep --clusters=2,4,6,8,10 --minutes=30 --seeds=1
+//                                                  # cluster-count scaling
+//   ./sweep --clusters=2,5,10 --campaigns=mtbf:10min,mtbf:5min,mtbf:2min \
+//           --minutes=20 --seeds=1                 # recovery cost vs fault
+//                                                  #   rate
 //   ./sweep --nodes=50 --minutes=10 --threads=4 --json
 //   ./sweep --config=my_sweep.ini                  # the sweep config kind
 //                                                  #   (batch::parse_sweep)
@@ -30,8 +35,17 @@
 //                                                  #   shards never collide
 //
 // --campaigns kinds: none (failure-free), faulty (the reference campaign,
-// as the --faulty golden), overlap (the overlapping-burst campaign:
-// concurrent per-cluster recoveries; needs >= 4 clusters).
+// as configs/scale/faulty.campaign), overlap (the overlapping-burst
+// campaign: concurrent per-cluster recoveries; needs >= 4 clusters), and
+// mtbf:<duration> (one federation-wide Poisson failure stream of that MTBF).
+//
+// The table sums each (topology, campaign) cell over its seeds: events,
+// clcs, faults, rb (cluster rollbacks, cascades included), fanout (rollback
+// alerts received federation-wide), replay (logged messages re-sent),
+// lost_s (node-seconds of recomputation) and gc_saved_B (GC response bytes
+// the delta encoding avoided).  lat_ms is the mean injection-to-resume
+// recovery latency; pairs (cluster pairs that carried application traffic)
+// and max_clcs (retained-CLC high-water across clusters) are maxima.
 //
 // Exit status: 0 all runs clean, 1 any violation/mismatch, 2 usage error.
 
@@ -43,6 +57,7 @@
 #include "batch/sweep.hpp"
 #include "config/parser.hpp"
 #include "config/spec.hpp"
+#include "fault/campaign.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/quantity.hpp"
@@ -297,9 +312,22 @@ int main(int argc, char** argv) {
         sweep.campaigns.push_back(batch::reference_campaign());
       } else if (tok == "overlap") {
         sweep.campaigns.push_back(batch::overlap_campaign());
+      } else if (tok.starts_with("mtbf:")) {
+        const auto mtbf = parse_duration(tok.substr(5));
+        if (!mtbf || mtbf->is_infinite() || mtbf->ns <= 0) {
+          std::fprintf(stderr, "--campaigns wants mtbf:<positive finite "
+                               "duration>, got '%s'\n", tok.c_str());
+          return 2;
+        }
+        fault::StreamSpec stream;  // federation-wide Poisson failures
+        stream.mtbf = *mtbf;
+        fault::Campaign plan;
+        plan.streams.push_back(stream);
+        sweep.campaigns.push_back(
+            batch::explicit_campaign(tok, std::move(plan)));
       } else {
-        std::fprintf(stderr, "--campaigns wants none|faulty|overlap, got "
-                             "'%s'\n", tok.c_str());
+        std::fprintf(stderr, "--campaigns wants none|faulty|overlap|"
+                             "mtbf:<duration>, got '%s'\n", tok.c_str());
         return 2;
       }
     }

@@ -1,5 +1,6 @@
 #include "batch/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -9,11 +10,16 @@ namespace hc3i::batch {
 namespace {
 
 /// printf into a growing string (the repo's tables are printf-formatted).
+/// Sized by a first pass, so a long error text is never truncated.
 template <typename... Args>
 void appendf(std::string* out, const char* fmt, Args... args) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), fmt, args...);
-  *out += buf;
+  const int n = std::snprintf(nullptr, 0, fmt, args...);
+  if (n <= 0) return;
+  const std::size_t old = out->size();
+  out->resize(old + static_cast<std::size_t>(n) + 1);
+  std::snprintf(out->data() + old, static_cast<std::size_t>(n) + 1, fmt,
+                args...);
+  out->resize(old + static_cast<std::size_t>(n));
 }
 
 /// Escape the few characters a CheckFailure message could smuggle into a
@@ -60,8 +66,10 @@ double BatchReport::runs_per_min() const {
 }
 
 std::string BatchReport::render_table() const {
-  // Aggregate per (topology, campaign) cell, in first-appearance (grid)
-  // order.
+  // Aggregate per (topology, campaign, storage) cell, in first-appearance
+  // (grid) order.  Counts and lost work are summed over the cell's runs;
+  // pairs and max_clcs are maxima; lat_ms is the mean over the runs that
+  // completed a recovery.
   struct Key {
     std::string topology, campaign, storage;
     bool operator==(const Key&) const = default;
@@ -70,13 +78,15 @@ std::string BatchReport::render_table() const {
     std::size_t runs{0};
     std::uint64_t events{0};
     double wall_sec{0.0};
-    std::uint64_t clcs{0}, faults{0}, rollbacks{0}, replayed{0};
+    std::uint64_t clcs{0}, faults{0}, rollbacks{0}, fanout{0}, replayed{0};
+    double lost_work_s{0.0}, latency_s{0.0};
+    std::size_t latency_runs{0};
+    std::uint64_t pairs{0}, max_clcs{0}, gc_saved_bytes{0};
     std::uint64_t ckpt_bytes{0}, ckpt_stall_us{0};
     std::size_t failed{0};
   };
-  // The storage column (and the per-cell split by storage point) appears
-  // only when some case actually ran on the storage axis — sweeps without
-  // it render byte-identically to the pre-axis format.
+  // The storage columns (and the per-cell split by storage point) appear
+  // only when some case actually ran on the storage axis.
   bool any_storage = false;
   for (const CaseResult& c : cases) any_storage |= !c.storage.empty();
   std::vector<std::pair<Key, Cell>> cells;
@@ -99,54 +109,58 @@ std::string BatchReport::render_table() const {
     cell->clcs += c.clcs;
     cell->faults += c.faults;
     cell->rollbacks += c.rollbacks;
+    cell->fanout += c.fanout;
     cell->replayed += c.replayed;
+    cell->lost_work_s += c.lost_work_s;
+    if (c.recovery_latency_s > 0) {
+      cell->latency_s += c.recovery_latency_s;
+      ++cell->latency_runs;
+    }
+    cell->pairs = std::max(cell->pairs, c.pairs);
+    cell->max_clcs = std::max(cell->max_clcs, c.max_clcs);
+    cell->gc_saved_bytes += c.gc_saved_bytes;
     cell->ckpt_bytes += c.ckpt_bytes;
     cell->ckpt_stall_us += c.ckpt_stall_us;
     if (!c.ok) ++cell->failed;
   }
 
   std::string out;
-  if (any_storage) {
-    appendf(&out, "%-16s %-10s %-12s %5s %12s %11s %7s %7s %7s %7s %12s "
-                  "%9s %6s\n",
-            "topology", "campaign", "storage", "runs", "events", "ev/s",
-            "clcs", "faults", "rb", "replay", "ckpt bytes", "stall s",
-            "fail");
-  } else {
-    appendf(&out, "%-16s %-10s %5s %12s %11s %7s %7s %7s %7s %6s\n",
-            "topology", "campaign", "runs", "events", "ev/s", "clcs",
-            "faults", "rb", "replay", "fail");
-  }
+  appendf(&out, "%-16s %-10s ", "topology", "campaign");
+  if (any_storage) appendf(&out, "%-12s ", "storage");
+  appendf(&out, "%5s %12s %11s %7s %7s %7s %7s %7s %9s %7s %6s %8s %11s ",
+          "runs", "events", "ev/s", "clcs", "faults", "rb", "fanout",
+          "replay", "lost_s", "lat_ms", "pairs", "max_clcs", "gc_saved_B");
+  if (any_storage) appendf(&out, "%12s %9s ", "ckpt bytes", "stall s");
+  appendf(&out, "%6s\n", "fail");
   for (const auto& [key, cell] : cells) {
+    appendf(&out, "%-16s %-10s ", key.topology.c_str(), key.campaign.c_str());
     if (any_storage) {
-      appendf(&out,
-              "%-16s %-10s %-12s %5zu %12llu %11.0f %7llu %7llu %7llu %7llu "
-              "%12llu %9.2f %6zu\n",
-              key.topology.c_str(), key.campaign.c_str(),
-              key.storage.empty() ? "off" : key.storage.c_str(), cell.runs,
-              static_cast<unsigned long long>(cell.events),
-              cell.wall_sec > 0
-                  ? static_cast<double>(cell.events) / cell.wall_sec
-                  : 0.0,
-              static_cast<unsigned long long>(cell.clcs),
-              static_cast<unsigned long long>(cell.faults),
-              static_cast<unsigned long long>(cell.rollbacks),
-              static_cast<unsigned long long>(cell.replayed),
-              static_cast<unsigned long long>(cell.ckpt_bytes),
-              static_cast<double>(cell.ckpt_stall_us) * 1e-6, cell.failed);
-    } else {
-      appendf(&out, "%-16s %-10s %5zu %12llu %11.0f %7llu %7llu %7llu %7llu "
-                    "%6zu\n",
-              key.topology.c_str(), key.campaign.c_str(), cell.runs,
-              static_cast<unsigned long long>(cell.events),
-              cell.wall_sec > 0
-                  ? static_cast<double>(cell.events) / cell.wall_sec
-                  : 0.0,
-              static_cast<unsigned long long>(cell.clcs),
-              static_cast<unsigned long long>(cell.faults),
-              static_cast<unsigned long long>(cell.rollbacks),
-              static_cast<unsigned long long>(cell.replayed), cell.failed);
+      appendf(&out, "%-12s ",
+              key.storage.empty() ? "off" : key.storage.c_str());
     }
+    appendf(&out,
+            "%5zu %12llu %11.0f %7llu %7llu %7llu %7llu %7llu %9.1f %7.1f "
+            "%6llu %8llu %11llu ",
+            cell.runs, static_cast<unsigned long long>(cell.events),
+            cell.wall_sec > 0 ? static_cast<double>(cell.events) / cell.wall_sec
+                              : 0.0,
+            static_cast<unsigned long long>(cell.clcs),
+            static_cast<unsigned long long>(cell.faults),
+            static_cast<unsigned long long>(cell.rollbacks),
+            static_cast<unsigned long long>(cell.fanout),
+            static_cast<unsigned long long>(cell.replayed), cell.lost_work_s,
+            cell.latency_runs > 0
+                ? cell.latency_s * 1e3 / static_cast<double>(cell.latency_runs)
+                : 0.0,
+            static_cast<unsigned long long>(cell.pairs),
+            static_cast<unsigned long long>(cell.max_clcs),
+            static_cast<unsigned long long>(cell.gc_saved_bytes));
+    if (any_storage) {
+      appendf(&out, "%12llu %9.2f ",
+              static_cast<unsigned long long>(cell.ckpt_bytes),
+              static_cast<double>(cell.ckpt_stall_us) * 1e-6);
+    }
+    appendf(&out, "%6zu\n", cell.failed);
   }
   std::uint64_t reused = 0, fresh = 0;
   for (const WorkerStats& w : workers) {
@@ -204,27 +218,28 @@ std::string BatchReport::to_json() const {
   out += "  ],\n  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
-    // Storage fields only for cases on the storage axis, so sweeps without
-    // it emit the pre-axis JSON byte-for-byte.
+    // Storage fields only for cases on the storage axis.
     std::string storage_fields;
     if (!c.storage.empty()) {
       appendf(&storage_fields,
               "\"storage\": \"%s\", \"ckpt_bytes\": %llu, "
               "\"ckpt_saved\": %llu, \"ckpt_stall_us\": %llu, "
-              "\"recovery_read_us\": %llu, \"lost_work_s\": %.3f, ",
+              "\"recovery_read_us\": %llu, ",
               json_escape(c.storage).c_str(),
               static_cast<unsigned long long>(c.ckpt_bytes),
               static_cast<unsigned long long>(c.ckpt_saved),
               static_cast<unsigned long long>(c.ckpt_stall_us),
-              static_cast<unsigned long long>(c.recovery_read_us),
-              c.lost_work_s);
+              static_cast<unsigned long long>(c.recovery_read_us));
     }
     appendf(&out,
             "    {\"topology\": \"%s\", \"campaign\": \"%s\", %s\"seed\": "
             "%llu, "
             "\"ok\": %s, \"events\": %llu, \"violations\": %llu, "
             "\"clcs\": %llu, \"faults\": %llu, \"rollbacks\": %llu, "
-            "\"replayed\": %llu, \"wall_sec\": %.6f%s%s%s}%s\n",
+            "\"fanout\": %llu, \"replayed\": %llu, \"lost_work_s\": %.3f, "
+            "\"recovery_latency_s\": %.6f, \"pairs\": %llu, "
+            "\"max_clcs\": %llu, \"gc_saved_bytes\": %llu, "
+            "\"wall_sec\": %.6f%s%s%s}%s\n",
             json_escape(c.topology).c_str(), json_escape(c.campaign).c_str(),
             storage_fields.c_str(),
             static_cast<unsigned long long>(c.seed), c.ok ? "true" : "false",
@@ -233,7 +248,11 @@ std::string BatchReport::to_json() const {
             static_cast<unsigned long long>(c.clcs),
             static_cast<unsigned long long>(c.faults),
             static_cast<unsigned long long>(c.rollbacks),
-            static_cast<unsigned long long>(c.replayed), c.wall_sec,
+            static_cast<unsigned long long>(c.fanout),
+            static_cast<unsigned long long>(c.replayed), c.lost_work_s,
+            c.recovery_latency_s, static_cast<unsigned long long>(c.pairs),
+            static_cast<unsigned long long>(c.max_clcs),
+            static_cast<unsigned long long>(c.gc_saved_bytes), c.wall_sec,
             c.error.empty() ? "" : ", \"error\": \"",
             c.error.empty() ? "" : json_escape(c.error).c_str(),
             c.error.empty() ? "" : "\"", i + 1 < cases.size() ? "," : "");

@@ -1,5 +1,6 @@
 #include "batch/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
@@ -58,12 +59,24 @@ CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
     }
     cr.faults = result.counter("fault.injected");
     cr.rollbacks = result.counter("rollback.count");
+    cr.fanout = result.counter("rollback.alerts");
     cr.replayed = result.counter("log.resent_msgs");
     cr.ckpt_bytes = result.counter("ckpt.bytes_written");
     cr.ckpt_saved = result.counter("ckpt.bytes_delta_saved");
     cr.ckpt_stall_us = result.counter("ckpt.stall_us");
     cr.recovery_read_us = result.counter("recovery.read_us");
     cr.lost_work_s = result.registry.summary("rollback.lost_work_s").sum();
+    cr.recovery_latency_s =
+        result.registry.summary("fault.recovery_latency_s").mean();
+    for (const std::string& name : result.registry.counter_names()) {
+      if (name.starts_with("net.app.pair.")) ++cr.pairs;
+      if (name.starts_with("store.max_clcs.")) {
+        cr.max_clcs = std::max(cr.max_clcs, result.counter(name));
+      }
+      if (name.starts_with("gc.resp_bytes_saved.")) {
+        cr.gc_saved_bytes += result.counter(name);
+      }
+    }
     if (ropts.keep_dumps) cr.dump = result.registry.dump();
     cr.ok = cr.violations == 0 && cr.error.empty();
   } catch (const std::exception& e) {

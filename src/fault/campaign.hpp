@@ -146,8 +146,9 @@ std::optional<Phase> parse_phase(std::string_view name);
 /// scale"): one scripted kill, a 3-node burst, a per-cluster MTBF stream, a
 /// repeat offender and a commit-targeted trigger, with times expressed as
 /// fractions of `total` so the same shape runs at any horizon.  Requires
-/// `clusters >= 2`; used by the `scale_fed_faulty` bench kernel, the
-/// `scale_federation --faulty` CI golden and the fault_campaign example.
+/// `clusters >= 2`; sweep's `faulty` campaign kind, and at 10x100 over 30 min
+/// the committed configs/scale/faulty.campaign behind the
+/// golden_counters_scale_faulty golden.
 Campaign reference_scale_campaign(std::size_t clusters, std::uint32_t nodes,
                                   SimTime total);
 
@@ -157,8 +158,10 @@ Campaign reference_scale_campaign(std::size_t clusters, std::uint32_t nodes,
 /// that instant and a second cluster-0 kill 20 ms later exercises the
 /// kill-during-recovery queue (`fault.queued_same_cluster`).  Requires
 /// `clusters >= 4`; this campaign exists to overlap recoveries.  Used by
-/// the `scale_fed_overlap` bench kernel, the `scale_federation --overlap`
-/// CI golden and `fault_campaign --overlap`.
+/// the benchmark's `faulty`, `storage_traced` and `wide_sweep` workloads,
+/// sweep's `overlap` campaign kind, and at 10x100 over 30 min the committed
+/// configs/scale/overlap.campaign behind the golden_counters_scale_overlap
+/// and golden_counters_scale_storage goldens.
 Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
                                     SimTime total);
 

@@ -61,17 +61,6 @@ std::string pad(const std::string& s, std::size_t width) {
   out.resize(width, ' ');
   return out;
 }
-
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
-}
 }  // namespace
 
 std::string Table::to_ascii() const {
@@ -89,39 +78,6 @@ std::string Table::to_ascii() const {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string& v = c < r.size() ? r[c] : kEmpty;
       os << pad(v, w[c]) << (c + 1 < headers_.size() ? "  " : "");
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-std::string Table::to_markdown() const {
-  std::ostringstream os;
-  os << '|';
-  for (const auto& h : headers_) os << ' ' << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const auto& r : rows_) {
-    os << '|';
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      os << ' ' << (c < r.size() ? r[c] : kEmpty) << " |";
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << csv_escape(headers_[c]) << (c + 1 < headers_.size() ? "," : "");
-  }
-  os << '\n';
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      os << (c < r.size() ? csv_escape(r[c]) : kEmpty)
-         << (c + 1 < headers_.size() ? "," : "");
     }
     os << '\n';
   }

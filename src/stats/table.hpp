@@ -3,8 +3,8 @@
 // Result-table construction and rendering.
 //
 // paper_check prints one table per paper artefact, and the run report its
-// incident table.  Table collects cells row by row and renders aligned ASCII
-// (for the console), Markdown (for EXPERIMENTS.md) and CSV (for plotting).
+// incident table.  Table collects cells row by row and renders them as
+// aligned ASCII for the console.
 
 #include <cstdint>
 #include <string>
@@ -28,17 +28,11 @@ class Table {
   /// Append a floating cell with the given precision.
   Table& cell(double v, int precision = 2);
 
-  std::size_t rows() const { return rows_.size(); }
-  std::size_t columns() const { return headers_.size(); }
   /// Cell text at (r, c); empty string if the row is ragged there.
   const std::string& at(std::size_t r, std::size_t c) const;
 
   /// Render with aligned columns for terminal output.
   std::string to_ascii() const;
-  /// Render as a GitHub-flavoured Markdown table.
-  std::string to_markdown() const;
-  /// Render as CSV (RFC-4180 quoting for cells containing commas/quotes).
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -485,5 +485,45 @@ TEST(SweepExpand, ValidationRejectsBadGrids) {
   EXPECT_THROW(batch::expand(mixed), CheckFailure);
 }
 
+// The report's scale and recovery columns read the run's own counters: a
+// ring of 4 clusters carries traffic on 12 pairs (self plus two
+// neighbours), GC runs, and every cluster rollback alerts the 3 others.
+TEST(BatchReport, CaseColumnsReadTheRunCounters) {
+  batch::SweepSpec sweep;
+  sweep.topologies = {batch::scale_topology(4, 8, minutes(20))};
+  fault::Campaign plan;
+  fault::StreamSpec stream;  // federation-wide
+  stream.mtbf = minutes(2);
+  plan.streams.push_back(stream);
+  sweep.campaigns = {batch::no_campaign(),
+                     batch::explicit_campaign("mtbf:2min", std::move(plan))};
+  sweep.seeds = {1};
+  batch::RunnerOptions ropts;
+  ropts.threads = 1;
+  const batch::BatchReport report = batch::Runner(ropts).run(sweep);
+  ASSERT_EQ(report.cases.size(), 2u);
+  for (const batch::CaseResult& c : report.cases) {
+    EXPECT_TRUE(c.ok) << c.campaign << ": " << c.error;
+    EXPECT_EQ(c.pairs, 12u) << c.campaign;
+    EXPECT_GT(c.max_clcs, 0u) << c.campaign;
+    EXPECT_GT(c.gc_saved_bytes, 0u) << c.campaign;
+    EXPECT_EQ(c.fanout, c.rollbacks * 3) << c.campaign;
+  }
+  const batch::CaseResult& clean = report.cases[0];
+  EXPECT_EQ(clean.faults, 0u);
+  EXPECT_EQ(clean.recovery_latency_s, 0.0);
+  const batch::CaseResult& faulty = report.cases[1];
+  EXPECT_GT(faulty.faults, 0u);
+  EXPECT_GT(faulty.rollbacks, 0u);
+  EXPECT_GT(faulty.lost_work_s, 0.0);
+  EXPECT_GT(faulty.recovery_latency_s, 0.0);
+
+  const std::string table = report.render_table();
+  EXPECT_NE(table.find("fanout"), std::string::npos) << table;
+  EXPECT_NE(table.find("gc_saved_B"), std::string::npos) << table;
+  EXPECT_NE(table.find("mtbf:2min"), std::string::npos) << table;
+  EXPECT_NE(report.to_json().find("\"pairs\": 12,"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace hc3i::testing

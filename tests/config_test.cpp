@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
+#include <set>
+#include <string>
+
 #include "config/parser.hpp"
 #include "config/presets.hpp"
 #include "config/writer.hpp"
+#include "fault/campaign.hpp"
 
 namespace hc3i::config {
 namespace {
@@ -216,6 +222,62 @@ TEST(Presets, SmallSpecValidates) {
     const RunSpec spec = small_test_spec(clusters, 4);
     EXPECT_NO_THROW(spec.validate());
   }
+}
+
+// The files under configs/ feed the hc3i_sim ctests and five goldens.  Each
+// must equal config::write_* of the preset it was written from, so a preset
+// that changes without its files fails here, not in a golden diff; a file
+// with no preset listed here fails too.
+TEST(CommittedConfigs, MatchTheirPresets) {
+  RunSpec small = small_test_spec(2, 8);
+  small.application.total_time = hours(1);
+  fault::Campaign undrainable;  // three kills 1 ms before the horizon
+  fault::BurstSpec burst;
+  burst.cluster = ClusterId{1};
+  burst.kills = 3;
+  burst.at = small.application.total_time - milliseconds(1);
+  burst.window = SimTime::zero();
+  undrainable.bursts.push_back(burst);
+
+  const RunSpec scale = scale_federation_spec(10, 100, minutes(30));
+  TopologySpec scale_storage = scale.topology;
+  StorageSpec striped;
+  striped.kind = StorageSpec::Kind::kStripedRemote;
+  for (ClusterSpec& c : scale_storage.clusters) c.storage = striped;
+
+  const std::map<std::string, std::string> expected = {
+      {"paper/topology.conf", write_topology(paper_reference_topology())},
+      {"paper/application.conf",
+       write_application(paper_reference_application())},
+      {"paper/timers.conf",
+       write_timers(paper_reference_timers(minutes(30), minutes(30)))},
+      {"small/topology.conf", write_topology(small.topology)},
+      {"small/application.conf", write_application(small.application)},
+      {"small/timers.conf", write_timers(small.timers)},
+      {"small/undrainable.campaign", write_campaign(undrainable)},
+      {"scale/topology.conf", write_topology(scale.topology)},
+      {"scale/topology_storage.conf", write_topology(scale_storage)},
+      {"scale/application.conf", write_application(scale.application)},
+      {"scale/timers.conf", write_timers(scale.timers)},
+      {"scale/faulty.campaign",
+       write_campaign(fault::reference_scale_campaign(10, 100, minutes(30)))},
+      {"scale/overlap.campaign",
+       write_campaign(
+           fault::reference_overlap_campaign(10, 100, minutes(30)))},
+  };
+  const std::filesystem::path root =
+      std::filesystem::path(HC3I_SOURCE_DIR) / "configs";
+  std::set<std::string> on_disk, listed;
+  for (const char* dir : {"paper", "small", "scale"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
+      on_disk.insert(std::string(dir) + "/" + entry.path().filename().string());
+    }
+  }
+  for (const auto& [name, text] : expected) {
+    listed.insert(name);
+    EXPECT_EQ(read_file((root / name).string()), text) << name;
+  }
+  EXPECT_EQ(on_disk, listed);
 }
 
 }  // namespace

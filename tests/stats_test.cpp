@@ -195,23 +195,6 @@ TEST(Table, AsciiAlignsColumns) {
   EXPECT_EQ(t.at(0, 1), "42");
 }
 
-TEST(Table, Markdown) {
-  Table t({"a", "b"});
-  t.row().cell("x").cell("y");
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-}
-
-TEST(Table, CsvEscaping) {
-  Table t({"a"});
-  t.row().cell("has,comma");
-  EXPECT_NE(t.to_csv().find("\"has,comma\""), std::string::npos);
-  Table q({"a"});
-  q.row().cell("has\"quote");
-  EXPECT_NE(q.to_csv().find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, GuardsAgainstMisuse) {
   Table t({"only"});
   EXPECT_THROW(t.cell("before row"), CheckFailure);

@@ -6,9 +6,10 @@
 Exits 0 when the output equals GOLDEN.  Otherwise prints a unified diff
 (golden first, at most 40 lines) and exits 1; a command that fails exits
 with its own status.  The five fixed-seed counter dumps (`hc3i_sim
-configs/small/*.conf --dump-counters`, `scale_federation --dump-counters
-[...]`) are registered as ctest tests through this script, so counter
-drift fails the local tier-1 run and not only CI.
+configs/small/*.conf --dump-counters` and four `hc3i_sim configs/scale/...
+--dump-counters [--campaign=...]` runs) are registered as ctest tests
+through this script, so counter drift fails the local tier-1 run and not
+only CI.
 """
 
 import difflib
