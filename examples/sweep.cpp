@@ -37,7 +37,8 @@
 // --campaigns kinds: none (failure-free), faulty (the reference campaign,
 // as configs/scale/faulty.campaign), overlap (the overlapping-burst
 // campaign: concurrent per-cluster recoveries; needs >= 4 clusters), and
-// mtbf:<duration> (one federation-wide Poisson failure stream of that MTBF).
+// mtbf:<duration> (one federation-wide Poisson failure stream of that MTBF);
+// a sweep file's [campaign] kind takes the same tokens.
 //
 // The table sums each (topology, campaign) cell over its seeds: events,
 // clcs, faults, rb (cluster rollbacks, cascades included), fanout (rollback
@@ -57,7 +58,6 @@
 #include "batch/sweep.hpp"
 #include "config/parser.hpp"
 #include "config/spec.hpp"
-#include "fault/campaign.hpp"
 #include "util/check.hpp"
 #include "util/flags.hpp"
 #include "util/quantity.hpp"
@@ -65,21 +65,6 @@
 using namespace hc3i;
 
 namespace {
-
-/// Split "a,b,c" into non-empty tokens.
-std::vector<std::string> split_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok =
-        s.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) out.push_back(tok);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
 
 /// Run a sweep twice and byte-compare each case's counter dump, printing one
 /// line per case under `label`.  Returns the number of mismatching cases.
@@ -295,7 +280,8 @@ int main(int argc, char** argv) {
     const auto nodes =
         static_cast<std::uint32_t>(flags.get_int("nodes", 100));
     const SimTime total = minutes(flags.get_int("minutes", 10));
-    for (const std::string& tok : split_list(flags.get("clusters", "2,5,10"))) {
+    for (const std::string& tok :
+         batch::split_list(flags.get("clusters", "2,5,10"))) {
       const auto v = parse_uint(tok);
       if (!v || *v < 1) {
         std::fprintf(stderr, "--clusters wants counts >= 1, got '%s'\n",
@@ -305,33 +291,12 @@ int main(int argc, char** argv) {
       sweep.topologies.push_back(
           batch::scale_topology(static_cast<std::size_t>(*v), nodes, total));
     }
-    for (const std::string& tok : split_list(flags.get("campaigns", "none"))) {
-      if (tok == "none") {
-        sweep.campaigns.push_back(batch::no_campaign());
-      } else if (tok == "faulty") {
-        sweep.campaigns.push_back(batch::reference_campaign());
-      } else if (tok == "overlap") {
-        sweep.campaigns.push_back(batch::overlap_campaign());
-      } else if (tok.starts_with("mtbf:")) {
-        const auto mtbf = parse_duration(tok.substr(5));
-        if (!mtbf || mtbf->is_infinite() || mtbf->ns <= 0) {
-          std::fprintf(stderr, "--campaigns wants mtbf:<positive finite "
-                               "duration>, got '%s'\n", tok.c_str());
-          return 2;
-        }
-        fault::StreamSpec stream;  // federation-wide Poisson failures
-        stream.mtbf = *mtbf;
-        fault::Campaign plan;
-        plan.streams.push_back(stream);
-        sweep.campaigns.push_back(
-            batch::explicit_campaign(tok, std::move(plan)));
-      } else {
-        std::fprintf(stderr, "--campaigns wants none|faulty|overlap|"
-                             "mtbf:<duration>, got '%s'\n", tok.c_str());
-        return 2;
-      }
-    }
     try {
+      for (const std::string& tok :
+           batch::split_list(flags.get("campaigns", "none"))) {
+        sweep.campaigns.push_back(
+            batch::parse_campaign_token(tok, "--campaigns"));
+      }
       sweep.seeds = batch::parse_seed_list(flags.get("seeds", "1..3"),
                                            "--seeds");
     } catch (const config::ParseError& e) {

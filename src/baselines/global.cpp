@@ -1,6 +1,6 @@
 #include "baselines/global.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "proto/payload_pool.hpp"
 
@@ -56,25 +56,10 @@ proto::AgentFactory global_factory(GlobalRuntime& rt) { return rt.factory(); }
 GlobalAgent::GlobalAgent(const proto::AgentContext& ctx, GlobalRuntime& rt)
     : AgentBase(ctx), rt_(rt) {}
 
-std::uint32_t GlobalAgent::local_index(NodeId n) const {
-  return n.v - ctx_.topology->first_node(ctx_.topology->cluster_of(n)).v;
-}
-
 proto::NodePart GlobalAgent::make_part() const {
   proto::NodePart part;
   part.app = ctx_.app->snapshot();
   return part;
-}
-
-SimTime GlobalAgent::restore_delay() const {
-  const auto& san = rt_.spec().topology.clusters[cluster().v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(rt_.spec().application.state_bytes) /
-        san.bytes_per_sec);
-  }
-  return delay;
 }
 
 void GlobalAgent::start() {
@@ -255,33 +240,20 @@ void GlobalAgent::handle_commit(const GCommit& m) {
   }
   if (!in_round_ || m.round != round_) return;
   sn_ = m.sn;
-  in_round_ = false;
   tentative_.reset();
   if (is_global_coordinator() && timer_) timer_->reset();
-  auto sends = std::move(queued_sends_);
-  queued_sends_.clear();
-  for (const QueuedSend& q : sends) {
-    net::Piggyback piggy;
-    piggy.sn = sn_;
-    piggy.incarnation = inc_;
-    send_app(q.dst, q.bytes, q.app_seq, piggy);
-  }
-  auto arrivals = std::move(deferred_);
-  deferred_.clear();
-  for (const net::Envelope& env : arrivals) on_message(env);
+  end_round(
+      [this](const QueuedSend& q) {
+        send_app(q.dst, q.bytes, q.app_seq, {sn_, inc_, {}});
+      },
+      [this](const net::Envelope& env) { on_message(env); });
 }
 
 void GlobalAgent::app_send(NodeId dst, std::uint64_t bytes,
                            std::uint64_t app_seq) {
-  if (rollback_pending_) return;
-  if (in_round_) {
-    queued_sends_.push_back(QueuedSend{dst, bytes, app_seq});
-    return;
+  if (gate_send(dst, bytes, app_seq) == SendGate::kPass) {
+    send_app(dst, bytes, app_seq, {sn_, inc_, {}});
   }
-  net::Piggyback piggy;
-  piggy.sn = sn_;
-  piggy.incarnation = inc_;
-  send_app(dst, bytes, app_seq, piggy);
 }
 
 void GlobalAgent::on_message(const net::Envelope& env) {
@@ -289,18 +261,10 @@ void GlobalAgent::on_message(const net::Envelope& env) {
     // Stale pre-rollback traffic: whole-federation rollbacks undo every
     // send newer than the restored checkpoint.
     if (env.piggy.incarnation < inc_ && env.piggy.sn >= sn_) {
-      named_stat(stat_stale_dropped_, "cic.stale_dropped").inc();
+      count_stale_drop();
       return;
     }
-    if (rollback_pending_) {
-      post_rollback_stash_.push_back(env);
-      return;
-    }
-    if (in_round_) {
-      deferred_.push_back(env);
-      return;
-    }
-    deliver_app(env);
+    if (!hold_arrival(env)) deliver_app(env);
     return;
   }
   if (const auto* m = payload_as<GReq>(env)) return handle_req(*m);
@@ -331,11 +295,7 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
     const proto::ClcRecord& rec = rt_.store(cid).last();
     HC3I_CHECK(rec.sn == target_sn, "global stores out of sync");
     ctx_.ledger->undo_after(cid, rec.ledger_mark);
-    named_stat(stat_rollback_count_, "rollback.count").inc();
-    named_stat(stat_rollback_nodes_, "rollback.nodes")
-        .inc(ctx_.topology->cluster_size(cid));
-    named_summary(stat_rollback_depth_, "rollback.depth_clcs")
-        .add(static_cast<double>(sn_ - rec.sn));
+    count_rollback(ctx_.topology->cluster_size(cid), sn_, rec.sn);
     const std::uint32_t base = ctx_.topology->first_node(cid).v;
     // Only the fault cluster's recovery span is closed (recovery_done
     // below); every other cluster is dragged back like an alert rollback.
@@ -351,8 +311,9 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
   // Resume all clusters after the slowest state transfer; re-inject the
   // global channel afterwards.
   SimTime delay = SimTime::zero();
-  for (const GlobalAgent* a : rt_.agents()) {
-    delay = std::max(delay, a->restore_delay());
+  for (std::size_t c = 0; c < rt_.cluster_count(); ++c) {
+    const ClusterId cid{static_cast<std::uint32_t>(c)};
+    delay = std::max(delay, config::state_transfer_time(rt_.spec(), cid));
   }
   ctx_.sim->schedule_after(delay, [this, new_inc, target_sn] {
     if (inc_ != new_inc) return;
@@ -372,34 +333,19 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
 
 void GlobalAgent::apply_rollback(const proto::ClcRecord& rec,
                                  Incarnation new_inc) {
-  const proto::AppSnapshot current = ctx_.app->snapshot();
-  const SimTime lost =
-      current.virtual_work - rec.parts[local_index(self())].app.virtual_work;
-  if (lost.ns > 0) {
-    named_summary(stat_lost_work_, "rollback.lost_work_s")
-        .add(lost.seconds());
-  }
   sn_ = rec.sn;
   inc_ = new_inc;
-  in_round_ = false;
   tentative_.reset();
-  queued_sends_.clear();
-  deferred_.clear();
-  post_rollback_stash_.clear();
   round_active_ = false;
   cluster_round_ = 0;
   if (timer_) timer_->cancel();
-  rollback_pending_ = true;
-  ctx_.app->freeze();
+  freeze_for_rollback(rec.parts[local_index(self())].app);
 }
 
 void GlobalAgent::resume(const proto::ClcRecord& rec) {
-  rollback_pending_ = false;
-  ctx_.app->restore(rec.parts[local_index(self())].app);
-  if (is_global_coordinator() && timer_) timer_->reset();
-  auto stash = std::move(post_rollback_stash_);
-  post_rollback_stash_.clear();
-  for (const net::Envelope& env : stash) on_message(env);
+  resume_from_rollback(rec.parts[local_index(self())].app, [this] {
+    if (is_global_coordinator() && timer_) timer_->reset();
+  });
 }
 
 }  // namespace hc3i::baselines

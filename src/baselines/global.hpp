@@ -77,18 +77,12 @@ class GlobalAgent final : public proto::AgentBase {
   void on_failure_detected(NodeId failed) override;
 
   SeqNum sn() const { return sn_; }
-  bool in_round() const { return in_round_; }
 
  private:
-  // Pre-resolved stats handles (per-message / per-round paths; see
-  // AgentBase::named_stat).  The per-cluster pair is (clc.total, clc.unforced).
-  stats::Counter* stat_stale_dropped_{nullptr};
+  // Pre-resolved stats handles (per-round paths; see AgentBase::named_stat).
+  // The per-cluster pair is (clc.total, clc.unforced).
   stats::Counter* stat_rollback_faults_{nullptr};
-  stats::Counter* stat_rollback_count_{nullptr};
-  stats::Counter* stat_rollback_nodes_{nullptr};
   stats::Summary* stat_freeze_{nullptr};
-  stats::Summary* stat_rollback_depth_{nullptr};
-  stats::Summary* stat_lost_work_{nullptr};
   std::vector<std::pair<stats::Counter*, stats::Counter*>> stat_clc_by_cluster_;
 
   struct GReq final : net::ControlPayload {
@@ -134,27 +128,15 @@ class GlobalAgent final : public proto::AgentBase {
   void global_rollback(ClusterId fault_cluster);
   void apply_rollback(const proto::ClcRecord& rec, Incarnation new_inc);
   void resume(const proto::ClcRecord& rec);
-  SimTime restore_delay() const;
   proto::NodePart make_part() const;
-  std::uint32_t local_index(NodeId n) const;
 
   GlobalRuntime& rt_;
   SeqNum sn_{0};
   Incarnation inc_{0};
-  bool in_round_{false};
   std::uint64_t round_{0};
   std::optional<proto::NodePart> tentative_;
-  struct QueuedSend {
-    NodeId dst;
-    std::uint64_t bytes;
-    std::uint64_t app_seq;
-  };
-  std::vector<QueuedSend> queued_sends_;
-  std::vector<net::Envelope> deferred_;
-  bool rollback_pending_{false};
   bool pending_fault_recovery_{false};
   ClusterId pending_fault_cluster_{};
-  std::vector<net::Envelope> post_rollback_stash_;
 
   // Global-coordinator round state (node 0 only).
   bool round_active_{false};

@@ -1,7 +1,5 @@
 #include "baselines/pessimistic.hpp"
 
-#include <cmath>
-
 #include "proto/payload_pool.hpp"
 
 namespace hc3i::baselines {
@@ -43,9 +41,7 @@ void PessimisticAgent::take_checkpoint() {
   checkpoint_ = ctx_.app->snapshot();
   checkpoint_mark_ = ctx_.ledger->mark();
   receive_log_.clear();
-  stats::lazy_counter(*ctx_.registry, stat_clc_total_, [this] {
-    return "clc.total.c" + std::to_string(cluster().v);
-  }).inc();
+  cluster_stat(stat_clc_total_, "clc.total").inc();
   named_stat(stat_node_ckpts_, "pess.node_checkpoints").inc();
   // Model the stable write of the state to the ring neighbour.
   if (ctx_.topology->cluster_size(cluster()) > 1) {
@@ -57,9 +53,10 @@ void PessimisticAgent::take_checkpoint() {
 
 void PessimisticAgent::app_send(NodeId dst, std::uint64_t bytes,
                                 std::uint64_t app_seq) {
-  if (rollback_pending_) return;
-  net::Piggyback piggy;  // no checkpointing metadata needed
-  send_app(dst, bytes, app_seq, piggy);
+  // Never in a round: the gate only drops sends while the node is frozen.
+  if (gate_send(dst, bytes, app_seq) == SendGate::kPass) {
+    send_app(dst, bytes, app_seq, {});  // no checkpointing metadata needed
+  }
 }
 
 void PessimisticAgent::on_message(const net::Envelope& env) {
@@ -67,10 +64,7 @@ void PessimisticAgent::on_message(const net::Envelope& env) {
     // Channel-memory copies are sinks: modelled storage traffic only.
     return;
   }
-  if (rollback_pending_) {
-    post_rollback_stash_.push_back(env);
-    return;
-  }
+  if (hold_arrival(env)) return;
   if (dedup_.count(env.app_seq) > 0) {
     // Duplicate from a re-executed sender (PWD re-sends); drop.
     named_stat(stat_dup_dropped_, "pess.dup_dropped").inc();
@@ -92,9 +86,8 @@ void PessimisticAgent::on_message(const net::Envelope& env) {
 void PessimisticAgent::on_failure_detected(NodeId failed) {
   // Only the failed node rolls back — the defining property of the
   // message-logging family.
-  ctx_.registry->inc("rollback.faults");
-  ctx_.registry->inc("rollback.count");
-  ctx_.registry->inc("rollback.nodes");  // node-scope rollback
+  ctx_.registry->counter("rollback.faults").inc();
+  count_rollback(1);  // node scope
   // Node scope: no cluster SN is restored, so to_sn is 0.
   HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), cluster().v,
            failed.v, 0, 0, 0);
@@ -103,44 +96,30 @@ void PessimisticAgent::on_failure_detected(NodeId failed) {
 }
 
 void PessimisticAgent::restore_failed_node() {
-  const proto::AppSnapshot current = ctx_.app->snapshot();
-  const SimTime lost = current.virtual_work - checkpoint_.virtual_work;
-  if (lost.ns > 0) {
-    ctx_.registry->observe("rollback.lost_work_s", lost.seconds());
-  }
   ctx_.ledger->undo_after_node(self(), checkpoint_mark_);
   // Deliveries since the checkpoint are undone and must be replayed from
   // the channel memory; forget them in the dedup set so the replay is not
   // suppressed (the log itself is the replay source).
   for (const net::Envelope& env : receive_log_) dedup_.erase(env.app_seq);
-  rollback_pending_ = true;
-  ctx_.app->freeze();
-  ctx_.registry->observe("rollback.clusters_rolled", 0.0);  // node-scope only
+  freeze_for_rollback(checkpoint_);
+  // Node scope only: no cluster rolls back.
+  ctx_.registry->summary_handle("rollback.clusters_rolled").add(0.0);
 
-  const auto& san = rt_.spec().topology.clusters[cluster().v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(rt_.spec().application.state_bytes) /
-        san.bytes_per_sec);
-  }
-  ctx_.sim->schedule_after(delay, [this] {
-    rollback_pending_ = false;
-    ctx_.app->restore(checkpoint_);
-    // Replay the logged deliveries in their original order (PWD).
-    auto log = std::move(receive_log_);
-    receive_log_.clear();
-    for (const net::Envelope& env : log) {
-      dedup_.insert(env.app_seq);
-      receive_log_.push_back(env);
-      deliver_app(env);
-      named_stat(stat_replayed_, "pess.replayed").inc();
-    }
-    auto stash = std::move(post_rollback_stash_);
-    post_rollback_stash_.clear();
-    for (const net::Envelope& env : stash) on_message(env);
-    ctx_.recovery_done(cluster());
-  });
+  ctx_.sim->schedule_after(
+      config::state_transfer_time(rt_.spec(), cluster()), [this] {
+        resume_from_rollback(checkpoint_, [this] {
+          // Replay the logged deliveries in their original order (PWD).
+          auto log = std::move(receive_log_);
+          receive_log_.clear();
+          for (const net::Envelope& env : log) {
+            dedup_.insert(env.app_seq);
+            receive_log_.push_back(env);
+            deliver_app(env);
+            named_stat(stat_replayed_, "pess.replayed").inc();
+          }
+        });
+        ctx_.recovery_done(cluster());
+      });
 }
 
 }  // namespace hc3i::baselines

@@ -88,8 +88,6 @@ class PessimisticAgent final : public proto::AgentBase {
   // lint: unordered-ok(membership-only duplicate filter; counters count
   // drops as they happen, nothing ever iterates the set)
   std::unordered_set<std::uint64_t> dedup_; ///< all-time delivered app_seqs
-  bool rollback_pending_{false};
-  std::vector<net::Envelope> post_rollback_stash_;
   std::unique_ptr<sim::Timer> timer_;
 };
 

@@ -200,6 +200,12 @@ StoragePoint storage_point(std::string name, config::StorageSpec storage,
 
 namespace {
 
+using config::need_bandwidth;
+using config::need_bytes;
+using config::need_duration;
+using config::need_storage_kind;
+using config::need_uint;
+using config::opt;
 using config::ParseError;
 using config::Section;
 
@@ -208,16 +214,48 @@ using config::Section;
   throw ParseError(origin + ":" + std::to_string(line) + ": " + what);
 }
 
+/// Optional integer key of `sec`, `def` when absent.
 std::uint64_t want_uint(const Section& sec, const std::string& origin,
                         const std::string& key, std::uint64_t def) {
-  const auto it = sec.values.find(key);
-  if (it == sec.values.end()) return def;
-  const auto v = parse_uint(it->second);
-  if (!v) fail(origin, sec.line, "bad " + key + " '" + it->second + "'");
-  return *v;
+  return opt(sec, key, def, need_uint, origin);
 }
 
 }  // namespace
+
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t comma = text.find(',', pos);
+    const std::string tok = text.substr(
+        pos, comma == std::string::npos ? comma : comma - pos);
+    if (!tok.empty()) out.push_back(tok);
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
+}
+
+CampaignPoint parse_campaign_token(const std::string& token,
+                                   const std::string& origin) {
+  if (token == "none") return no_campaign();
+  if (token == "faulty") return reference_campaign();
+  if (token == "overlap") return overlap_campaign();
+  if (token.starts_with("mtbf:")) {
+    const auto mtbf = parse_duration(token.substr(5));
+    if (!mtbf || mtbf->is_infinite() || mtbf->ns <= 0) {
+      throw ParseError(origin + ": mtbf:<duration> wants a positive finite "
+                                "duration, got '" + token + "'");
+    }
+    fault::StreamSpec stream;  // federation-wide Poisson failures
+    stream.mtbf = *mtbf;
+    fault::Campaign plan;
+    plan.streams.push_back(stream);
+    return explicit_campaign(token, std::move(plan));
+  }
+  throw ParseError(origin + ": unknown campaign '" + token +
+                   "' (known: none|faulty|overlap|mtbf:<duration>)");
+}
 
 std::vector<std::uint64_t> parse_seed_list(const std::string& text,
                                            const std::string& origin) {
@@ -232,18 +270,10 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& text,
     for (std::uint64_t s = *lo; s <= *hi; ++s) seeds.push_back(s);
     return seeds;
   }
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t comma = text.find(',', pos);
-    const std::string tok = text.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) {
-      const auto v = parse_uint(tok);
-      if (!v) throw ParseError(origin + ": bad seed '" + tok + "'");
-      seeds.push_back(*v);
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const std::string& tok : split_list(text)) {
+    const auto v = parse_uint(tok);
+    if (!v) throw ParseError(origin + ": bad seed '" + tok + "'");
+    seeds.push_back(*v);
   }
   if (seeds.empty()) {
     throw ParseError(origin + ": empty seed list '" + text + "'");
@@ -258,24 +288,25 @@ SweepSpec parse_sweep(std::string_view text, const std::string& origin) {
     if (sec.name == "sweep") {
       if (saw_sweep) fail(origin, sec.line, "duplicate [sweep] section");
       saw_sweep = true;
-      for (const auto& [key, value] : sec.values) {
-        if (key == "seeds") {
-          sweep.seeds = parse_seed_list(
-              value, origin + ":" + std::to_string(sec.line));
-        } else if (key == "protocol") {
-          const auto protocol = driver::parse_protocol(value);
-          if (!protocol) {
-            fail(origin, sec.line, "unknown protocol '" + value + "'");
-          }
-          sweep.protocol = *protocol;
-        } else {
-          fail(origin, sec.line, "unknown [sweep] key '" + key + "'");
+      config::check_known_keys(sec, {"seeds", "protocol"}, origin);
+      if (const auto it = sec.values.find("seeds"); it != sec.values.end()) {
+        sweep.seeds = parse_seed_list(
+            it->second, origin + ":" + std::to_string(sec.line));
+      }
+      if (const auto it = sec.values.find("protocol");
+          it != sec.values.end()) {
+        const auto protocol = driver::parse_protocol(it->second);
+        if (!protocol) {
+          fail(origin, sec.line, "unknown protocol '" + it->second + "'");
         }
+        sweep.protocol = *protocol;
       }
     } else if (sec.name == "topology") {
       if (sec.args.size() != 1) {
         fail(origin, sec.line, "[topology] wants exactly one name argument");
       }
+      config::check_known_keys(sec, {"preset", "clusters", "nodes", "minutes"},
+                               origin);
       const std::string preset =
           sec.values.count("preset") ? sec.values.at("preset") : "scale";
       const auto clusters =
@@ -284,13 +315,6 @@ SweepSpec parse_sweep(std::string_view text, const std::string& origin) {
           static_cast<std::uint32_t>(want_uint(sec, origin, "nodes", 100));
       if (clusters < 1 || nodes < 1) {
         fail(origin, sec.line, "clusters and nodes must be >= 1");
-      }
-      for (const auto& [key, value] : sec.values) {
-        (void)value;
-        if (key != "preset" && key != "clusters" && key != "nodes" &&
-            key != "minutes") {
-          fail(origin, sec.line, "unknown [topology] key '" + key + "'");
-        }
       }
       TopologyPoint point;
       if (preset == "scale") {
@@ -316,74 +340,39 @@ SweepSpec parse_sweep(std::string_view text, const std::string& origin) {
       if (sec.args.size() != 1) {
         fail(origin, sec.line, "[campaign] wants exactly one name argument");
       }
-      const auto it = sec.values.find("kind");
-      if (it == sec.values.end()) {
-        fail(origin, sec.line, "[campaign] needs kind = none|reference|"
-                               "overlap");
-      }
-      for (const auto& [key, value] : sec.values) {
-        (void)value;
-        if (key != "kind") {
-          fail(origin, sec.line, "unknown [campaign] key '" + key + "'");
-        }
-      }
-      CampaignPoint point;
-      if (it->second == "none") {
-        point = no_campaign();
-      } else if (it->second == "reference") {
-        point = reference_campaign();
-      } else if (it->second == "overlap") {
-        point = overlap_campaign();
-      } else {
-        fail(origin, sec.line, "unknown campaign kind '" + it->second +
-                                   "' (known: none, reference, overlap)");
-      }
+      config::check_known_keys(sec, {"kind"}, origin);
+      CampaignPoint point =
+          parse_campaign_token(config::need(sec, "kind", origin),
+                               origin + ":" + std::to_string(sec.line));
       point.name = sec.args[0];
       sweep.campaigns.push_back(std::move(point));
     } else if (sec.name == "storage") {
       if (sec.args.size() != 1) {
         fail(origin, sec.line, "[storage] wants exactly one name argument");
       }
+      config::check_known_keys(
+          sec,
+          {"kind", "latency", "write_bandwidth", "read_bandwidth",
+           "stripe_width", "incremental", "interval", "state_size"},
+          origin);
       StoragePoint point;
       point.name = sec.args[0];
-      for (const auto& [key, value] : sec.values) {
-        if (key == "kind") {
-          if (value == "local-disk") {
-            point.storage.kind = config::StorageSpec::Kind::kLocalDisk;
-          } else if (value == "striped-remote") {
-            point.storage.kind = config::StorageSpec::Kind::kStripedRemote;
-          } else if (value == "none") {
-            point.storage.kind = config::StorageSpec::Kind::kNone;
-          } else {
-            fail(origin, sec.line, "unknown storage kind '" + value + "'");
-          }
-        } else if (key == "latency") {
-          const auto v = parse_duration(value);
-          if (!v) fail(origin, sec.line, "bad latency '" + value + "'");
-          point.storage.latency = *v;
-        } else if (key == "write_bandwidth" || key == "read_bandwidth") {
-          const auto v = parse_bandwidth(value);
-          if (!v) fail(origin, sec.line, "bad " + key + " '" + value + "'");
-          (key[0] == 'w' ? point.storage.write_bytes_per_sec
-                         : point.storage.read_bytes_per_sec) = *v;
-        } else if (key == "stripe_width") {
-          point.storage.stripe_width = static_cast<std::uint32_t>(
-              want_uint(sec, origin, "stripe_width", 4));
-        } else if (key == "incremental") {
-          point.storage.incremental =
-              want_uint(sec, origin, "incremental", 1) != 0;
-        } else if (key == "interval") {
-          const auto v = parse_duration(value);
-          if (!v) fail(origin, sec.line, "bad interval '" + value + "'");
-          point.clc_period = *v;
-        } else if (key == "state_size") {
-          const auto v = parse_bytes(value);
-          if (!v) fail(origin, sec.line, "bad state_size '" + value + "'");
-          point.state_bytes = *v;
-        } else {
-          fail(origin, sec.line, "unknown [storage] key '" + key + "'");
-        }
-      }
+      config::StorageSpec& st = point.storage;
+      st.kind = opt(sec, "kind", st.kind, need_storage_kind, origin);
+      st.latency = opt(sec, "latency", st.latency, need_duration, origin);
+      st.write_bytes_per_sec = opt(sec, "write_bandwidth",
+                                   st.write_bytes_per_sec, need_bandwidth,
+                                   origin);
+      st.read_bytes_per_sec = opt(sec, "read_bandwidth", st.read_bytes_per_sec,
+                                  need_bandwidth, origin);
+      st.stripe_width = static_cast<std::uint32_t>(
+          want_uint(sec, origin, "stripe_width", st.stripe_width));
+      st.incremental =
+          want_uint(sec, origin, "incremental", st.incremental) != 0;
+      point.clc_period =
+          opt(sec, "interval", point.clc_period, need_duration, origin);
+      point.state_bytes =
+          opt(sec, "state_size", point.state_bytes, need_bytes, origin);
       sweep.storage.push_back(std::move(point));
     } else {
       fail(origin, sec.line, "unknown section [" + sec.name +

@@ -131,6 +131,15 @@ CampaignPoint overlap_campaign();
 /// Explicit plan under `name`.
 CampaignPoint explicit_campaign(std::string name, fault::Campaign plan);
 
+/// One campaign-axis token, spelled the same in a sweep file's
+/// `[campaign] kind` and the sweep CLI's --campaigns: none (failure-free),
+/// faulty (the reference campaign), overlap (concurrent per-cluster
+/// recoveries; needs >= 4 clusters) or mtbf:<duration> (one federation-wide
+/// failure stream of that MTBF, named after the token).  Throws
+/// config::ParseError, prefixed with `origin`, on anything else.
+CampaignPoint parse_campaign_token(const std::string& token,
+                                   const std::string& origin = "<campaign>");
+
 /// Storage-axis point: cost model plus optional interval / state-size
 /// overrides (zero keeps the topology point's values).
 StoragePoint storage_point(std::string name, config::StorageSpec storage,
@@ -149,8 +158,9 @@ StoragePoint storage_point(std::string name, config::StorageSpec storage,
 ///   [topology ring]       preset = scale      clusters = 10  nodes = 100
 ///                         minutes = 30
 ///   [campaign none]       kind = none
-///   [campaign faulty]     kind = reference
+///   [campaign faulty]     kind = faulty
 ///   [campaign overlap]    kind = overlap
+///   [campaign storm]      kind = mtbf:2min       (parse_campaign_token)
 ///   [storage striped]     kind = striped-remote   write_bandwidth = 200MB/s
 ///                         interval = 5m           state_size = 8MiB
 ///
@@ -160,6 +170,9 @@ StoragePoint storage_point(std::string name, config::StorageSpec storage,
 /// interval (CLC-period override), state_size (per-process state override).
 SweepSpec parse_sweep(std::string_view text,
                       const std::string& origin = "<sweep>");
+
+/// Split "a,b,c" into its non-empty tokens (the CLI's list flags).
+std::vector<std::string> split_list(const std::string& text);
 
 /// The seed-list syntax on its own ("lo..hi" or "a,b,c"), shared by the
 /// sweep file's `seeds` key and the CLI's --seeds flag.  Throws

@@ -1,5 +1,6 @@
 #include "config/parser.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -30,7 +31,20 @@ std::vector<std::string> split_tokens(const std::string& s) {
   return out;
 }
 
-/// Look up a required key in a section.
+std::size_t cluster_index_arg(const Section& sec, const TopologySpec& topo,
+                              const std::string& origin) {
+  if (sec.args.size() != 1) {
+    fail(origin, sec.line, "[" + sec.name + "] needs one cluster index");
+  }
+  const auto idx = parse_uint(sec.args[0]);
+  if (!idx || *idx >= topo.cluster_count()) {
+    fail(origin, sec.line, "cluster index out of range: " + sec.args[0]);
+  }
+  return static_cast<std::size_t>(*idx);
+}
+
+}  // namespace
+
 const std::string& need(const Section& sec, const std::string& key,
                         const std::string& origin) {
   const auto it = sec.values.find(key);
@@ -68,19 +82,14 @@ std::uint64_t need_bytes(const Section& sec, const std::string& key,
   return *v;
 }
 
-std::size_t cluster_index_arg(const Section& sec, const TopologySpec& topo,
-                              const std::string& origin) {
-  if (sec.args.size() != 1) {
-    fail(origin, sec.line, "[" + sec.name + "] needs one cluster index");
-  }
-  const auto idx = parse_uint(sec.args[0]);
-  if (!idx || *idx >= topo.cluster_count()) {
-    fail(origin, sec.line, "cluster index out of range: " + sec.args[0]);
-  }
-  return static_cast<std::size_t>(*idx);
+StorageSpec::Kind need_storage_kind(const Section& sec, const std::string& key,
+                                    const std::string& origin) {
+  const std::string& kind = need(sec, key, origin);
+  if (kind == "none") return StorageSpec::Kind::kNone;
+  if (kind == "local-disk") return StorageSpec::Kind::kLocalDisk;
+  if (kind == "striped-remote") return StorageSpec::Kind::kStripedRemote;
+  fail(origin, sec.line, "unknown storage kind '" + kind + "'");
 }
-
-}  // namespace
 
 std::vector<Section> parse_sections(std::string_view text,
                                     const std::string& origin) {
@@ -125,6 +134,23 @@ std::vector<Section> parse_sections(std::string_view text,
   return sections;
 }
 
+void check_known_keys(const Section& sec,
+                      std::initializer_list<std::string_view> known,
+                      const std::string& origin) {
+  for (const auto& [key, value] : sec.values) {
+    (void)value;
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string list;
+    for (const std::string_view k : known) {
+      list += list.empty() ? "" : ", ";
+      list += k;
+    }
+    fail(origin, sec.line,
+         "unknown key '" + key + "' in [" + sec.name + "] (known: " + list +
+             ")");
+  }
+}
+
 TopologySpec parse_topology(std::string_view text, const std::string& origin) {
   TopologySpec topo;
   const auto sections = parse_sections(text, origin);
@@ -132,13 +158,10 @@ TopologySpec parse_topology(std::string_view text, const std::string& origin) {
   // Pass 1: the [federation] section fixes the cluster count.
   for (const auto& sec : sections) {
     if (sec.name == "federation") {
+      check_known_keys(sec, {"clusters", "mtbf"}, origin);
       n_clusters = static_cast<std::size_t>(need_uint(sec, "clusters", origin));
       if (n_clusters == 0) fail(origin, sec.line, "clusters must be >= 1");
-      if (sec.values.count("mtbf")) {
-        const auto v = parse_duration(sec.values.at("mtbf"));
-        if (!v) fail(origin, sec.line, "bad duration for 'mtbf'");
-        topo.mtbf = *v;
-      }
+      topo.mtbf = opt(sec, "mtbf", topo.mtbf, need_duration, origin);
     }
   }
   if (n_clusters == 0) {
@@ -151,6 +174,12 @@ TopologySpec parse_topology(std::string_view text, const std::string& origin) {
   for (const auto& sec : sections) {
     if (sec.name == "federation") continue;
     if (sec.name == "cluster") {
+      check_known_keys(sec,
+                       {"nodes", "latency", "bandwidth", "storage",
+                        "storage_latency", "storage_write_bandwidth",
+                        "storage_read_bandwidth", "stripe_width",
+                        "incremental"},
+                       origin);
       const std::size_t i = cluster_index_arg(sec, topo, origin);
       seen_cluster[i] = true;
       auto& c = topo.clusters[i];
@@ -160,39 +189,26 @@ TopologySpec parse_topology(std::string_view text, const std::string& origin) {
       // Optional checkpoint-storage model; absent keys keep the defaults.
       if (sec.values.count("storage")) {
         auto& st = c.storage;
-        const std::string& kind = sec.values.at("storage");
-        if (kind == "none") {
-          st.kind = StorageSpec::Kind::kNone;
-        } else if (kind == "local-disk") {
-          st.kind = StorageSpec::Kind::kLocalDisk;
-        } else if (kind == "striped-remote") {
-          st.kind = StorageSpec::Kind::kStripedRemote;
-        } else {
-          fail(origin, sec.line, "unknown storage kind '" + kind + "'");
-        }
-        if (sec.values.count("storage_latency")) {
-          st.latency = need_duration(sec, "storage_latency", origin);
-        }
-        if (sec.values.count("storage_write_bandwidth")) {
-          st.write_bytes_per_sec =
-              need_bandwidth(sec, "storage_write_bandwidth", origin);
-        }
-        if (sec.values.count("storage_read_bandwidth")) {
-          st.read_bytes_per_sec =
-              need_bandwidth(sec, "storage_read_bandwidth", origin);
-        }
-        if (sec.values.count("stripe_width")) {
-          st.stripe_width =
-              static_cast<std::uint32_t>(need_uint(sec, "stripe_width", origin));
-        }
-        if (sec.values.count("incremental")) {
-          st.incremental = need_uint(sec, "incremental", origin) != 0;
-        }
+        st.kind = need_storage_kind(sec, "storage", origin);
+        st.latency =
+            opt(sec, "storage_latency", st.latency, need_duration, origin);
+        st.write_bytes_per_sec = opt(sec, "storage_write_bandwidth",
+                                     st.write_bytes_per_sec, need_bandwidth,
+                                     origin);
+        st.read_bytes_per_sec = opt(sec, "storage_read_bandwidth",
+                                    st.read_bytes_per_sec, need_bandwidth,
+                                    origin);
+        st.stripe_width =
+            opt(sec, "stripe_width", st.stripe_width, need_uint, origin);
+        st.incremental = opt(sec, "incremental",
+                             std::uint64_t{st.incremental}, need_uint,
+                             origin) != 0;
       }
     } else if (sec.name == "link") {
       if (sec.args.size() != 2) {
         fail(origin, sec.line, "[link] needs two cluster indices");
       }
+      check_known_keys(sec, {"latency", "bandwidth"}, origin);
       const auto a = parse_uint(sec.args[0]);
       const auto b = parse_uint(sec.args[1]);
       if (!a || !b || *a >= n_clusters || *b >= n_clusters || *a == *b) {
@@ -227,18 +243,18 @@ ApplicationSpec parse_application(std::string_view text,
   bool saw_app = false;
   for (const auto& sec : sections) {
     if (sec.name == "application") {
+      check_known_keys(sec, {"total_time", "state_size"}, origin);
       saw_app = true;
       app.total_time = need_duration(sec, "total_time", origin);
-      if (sec.values.count("state_size")) {
-        app.state_bytes = need_bytes(sec, "state_size", origin);
-      }
+      app.state_bytes =
+          opt(sec, "state_size", app.state_bytes, need_bytes, origin);
     } else if (sec.name == "cluster") {
+      check_known_keys(sec, {"mean_compute", "message_size"}, origin);
       const std::size_t i = cluster_index_arg(sec, topo, origin);
       auto& c = app.clusters[i];
       c.mean_compute = need_duration(sec, "mean_compute", origin);
-      if (sec.values.count("message_size")) {
-        c.message_bytes = need_bytes(sec, "message_size", origin);
-      }
+      c.message_bytes =
+          opt(sec, "message_size", c.message_bytes, need_bytes, origin);
     } else if (sec.name == "traffic") {
       const std::size_t i = cluster_index_arg(sec, topo, origin);
       for (const auto& [key, value] : sec.values) {
@@ -262,45 +278,42 @@ fault::Campaign parse_campaign(std::string_view text, const TopologySpec& topo,
   fault::Campaign plan;
   const auto opt_duration = [&origin](const Section& sec, const std::string& key,
                                       SimTime def) {
-    if (sec.values.count(key) == 0) return def;
-    const auto v = parse_duration(sec.values.at(key));
-    if (!v) fail(origin, sec.line, "bad duration for '" + key + "'");
-    return *v;
+    return opt(sec, key, def, need_duration, origin);
   };
   const auto opt_uint = [&origin](const Section& sec, const std::string& key,
-                                  std::uint64_t def) {
-    if (sec.values.count(key) == 0) return def;
-    const auto v = parse_uint(sec.values.at(key));
-    if (!v) fail(origin, sec.line, "bad integer for '" + key + "'");
-    return *v;
+                                  std::uint32_t def) {
+    return opt(sec, key, def, need_uint, origin);
   };
   for (const auto& sec : parse_sections(text, origin)) {
     if (sec.name == "kill") {
+      check_known_keys(sec, {"at", "node"}, origin);
       fault::KillSpec k;
       k.at = need_duration(sec, "at", origin);
       k.victim = NodeId{static_cast<std::uint32_t>(need_uint(sec, "node", origin))};
       plan.kills.push_back(k);
     } else if (sec.name == "stream") {
+      check_known_keys(sec, {"mtbf", "cluster", "start", "stop"}, origin);
       fault::StreamSpec s;
       s.mtbf = need_duration(sec, "mtbf", origin);
       if (sec.values.count("cluster")) {
-        s.cluster = ClusterId{
-            static_cast<std::uint32_t>(opt_uint(sec, "cluster", 0))};
+        s.cluster = ClusterId{opt_uint(sec, "cluster", 0)};
       }
       s.start = opt_duration(sec, "start", SimTime::zero());
       s.stop = opt_duration(sec, "stop", SimTime::infinity());
       plan.streams.push_back(s);
     } else if (sec.name == "burst") {
+      check_known_keys(
+          sec, {"cluster", "kills", "at", "window", "first_victim"}, origin);
       fault::BurstSpec b;
       b.cluster = ClusterId{
           static_cast<std::uint32_t>(need_uint(sec, "cluster", origin))};
       b.kills = static_cast<std::uint32_t>(need_uint(sec, "kills", origin));
       b.at = need_duration(sec, "at", origin);
       b.window = need_duration(sec, "window", origin);
-      b.first_victim =
-          static_cast<std::uint32_t>(opt_uint(sec, "first_victim", 0));
+      b.first_victim = opt_uint(sec, "first_victim", 0);
       plan.bursts.push_back(b);
     } else if (sec.name == "repeat") {
+      check_known_keys(sec, {"node", "times", "first", "gap"}, origin);
       fault::RepeatSpec r;
       r.victim = NodeId{static_cast<std::uint32_t>(need_uint(sec, "node", origin))};
       r.times = static_cast<std::uint32_t>(need_uint(sec, "times", origin));
@@ -308,6 +321,10 @@ fault::Campaign parse_campaign(std::string_view text, const TopologySpec& topo,
       r.gap = opt_duration(sec, "gap", SimTime::zero());
       plan.repeats.push_back(r);
     } else if (sec.name == "phase_trigger") {
+      check_known_keys(sec,
+                       {"cluster", "phase", "node", "after_acks", "occurrence",
+                        "not_before"},
+                       origin);
       fault::PhaseTriggerSpec t;
       t.cluster = ClusterId{
           static_cast<std::uint32_t>(need_uint(sec, "cluster", origin))};
@@ -319,8 +336,8 @@ fault::Campaign parse_campaign(std::string_view text, const TopologySpec& topo,
       }
       t.phase = *phase;
       t.victim = NodeId{static_cast<std::uint32_t>(need_uint(sec, "node", origin))};
-      t.after_acks = static_cast<std::uint32_t>(opt_uint(sec, "after_acks", 1));
-      t.occurrence = static_cast<std::uint32_t>(opt_uint(sec, "occurrence", 1));
+      t.after_acks = opt_uint(sec, "after_acks", 1);
+      t.occurrence = opt_uint(sec, "occurrence", 1);
       t.not_before = opt_duration(sec, "not_before", SimTime::zero());
       plan.phase_triggers.push_back(t);
     } else {
@@ -342,13 +359,14 @@ TimersSpec parse_timers(std::string_view text, const TopologySpec& topo,
   const auto sections = parse_sections(text, origin);
   for (const auto& sec : sections) {
     if (sec.name == "timers") {
-      if (sec.values.count("gc_period")) {
-        timers.gc_period = need_duration(sec, "gc_period", origin);
-      }
-      if (sec.values.count("detection_delay")) {
-        timers.detection_delay = need_duration(sec, "detection_delay", origin);
-      }
+      check_known_keys(sec, {"gc_period", "detection_delay"}, origin);
+      timers.gc_period =
+          opt(sec, "gc_period", timers.gc_period, need_duration, origin);
+      timers.detection_delay = opt(sec, "detection_delay",
+                                   timers.detection_delay, need_duration,
+                                   origin);
     } else if (sec.name == "cluster") {
+      check_known_keys(sec, {"clc_period"}, origin);
       const std::size_t i = cluster_index_arg(sec, topo, origin);
       timers.clusters[i].clc_period = need_duration(sec, "clc_period", origin);
     } else {

@@ -31,9 +31,11 @@
 //   [phase_trigger]       cluster = 0     phase = phase1_acks   after_acks = 1
 //                         occurrence = 2  node = 2      not_before = 1min
 //
-// parse_* functions throw ParseError with file/line context on any problem.
+// parse_* functions throw ParseError with file/line context on any problem,
+// an unknown section or key included.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -62,6 +64,37 @@ struct Section {
 /// Parse the generic INI dialect. `origin` names the source in errors.
 std::vector<Section> parse_sections(std::string_view text,
                                     const std::string& origin);
+
+/// Throw ParseError on a key of `sec` outside `known`: a misspelled key
+/// would otherwise be ignored and the run would silently use the default.
+void check_known_keys(const Section& sec,
+                      std::initializer_list<std::string_view> known,
+                      const std::string& origin);
+
+/// Readers of one key of `sec`: ParseError, with `origin` and the section's
+/// line, when the key is missing or (typed readers) its value malformed.
+const std::string& need(const Section& sec, const std::string& key,
+                        const std::string& origin);
+SimTime need_duration(const Section& sec, const std::string& key,
+                      const std::string& origin);
+double need_bandwidth(const Section& sec, const std::string& key,
+                      const std::string& origin);
+std::uint64_t need_uint(const Section& sec, const std::string& key,
+                        const std::string& origin);
+std::uint64_t need_bytes(const Section& sec, const std::string& key,
+                         const std::string& origin);
+/// none | local-disk | striped-remote.
+StorageSpec::Kind need_storage_kind(const Section& sec, const std::string& key,
+                                    const std::string& origin);
+
+/// `key` read by `need_value` (one of the need_* readers), or `def` when the
+/// section leaves it out.
+template <typename Need, typename T>
+T opt(const Section& sec, const std::string& key, T def, Need need_value,
+      const std::string& origin) {
+  return sec.values.count(key) ? static_cast<T>(need_value(sec, key, origin))
+                               : def;
+}
 
 /// Parse a topology file (text form).
 TopologySpec parse_topology(std::string_view text,

@@ -100,4 +100,14 @@ void RunSpec::validate() const {
   timers.validate(topology);
 }
 
+SimTime state_transfer_time(const RunSpec& spec, ClusterId c) {
+  const LinkSpec& san = spec.topology.clusters[c.v].san;
+  SimTime t = san.latency;
+  if (std::isfinite(san.bytes_per_sec)) {
+    t += from_seconds_f(static_cast<double>(spec.application.state_bytes) /
+                        san.bytes_per_sec);
+  }
+  return t;
+}
+
 }  // namespace hc3i::config

@@ -146,4 +146,10 @@ struct RunSpec {
   void validate() const;
 };
 
+/// Time to move one process state across cluster `c`'s SAN: its latency
+/// plus state_bytes over its bandwidth.  Every restart pays it — a node
+/// pulls its state from the neighbour's replica (paper §3.1) — and the
+/// application stays frozen until it has elapsed (§3.4).
+SimTime state_transfer_time(const RunSpec& spec, ClusterId c);
+
 }  // namespace hc3i::config

@@ -149,13 +149,13 @@ void CampaignEngine::inject_or_queue(NodeId victim, const char* source,
     // for message-logging protocols the replay of lost work — no runway
     // before strict validation, the ghost-send hazard the bound exists to
     // prevent.  Drop and count instead.
-    fed_.registry().inc("fault.skipped_quiesce");
+    fed_.registry().counter("fault.skipped_quiesce").inc();
     return;
   }
   const ClusterId c = cluster_of(victim);
   if (fed_.recovery_pending(c)) {
     cluster_queue_[c.v].push_back(PendingKill{victim, source, counter});
-    fed_.registry().inc(counter);
+    fed_.registry().counter(counter).inc();
     return;
   }
   inject(victim, source);
@@ -165,13 +165,13 @@ void CampaignEngine::inject_or_skip(NodeId victim, const char* source) {
   if (sim().now() > bound_) {
     // Phase-targeted triggers can match a round that runs in the drain
     // window; past the bound the kill could not settle (see above).
-    fed_.registry().inc("fault.skipped_quiesce");
+    fed_.registry().counter("fault.skipped_quiesce").inc();
     return;
   }
   // A remote cluster's concurrent recovery is irrelevant to this trigger's
   // phase window; only the target cluster's own recovery invalidates it.
   if (fed_.recovery_pending(cluster_of(victim))) {
-    fed_.registry().inc("fault.skipped_overlap");
+    fed_.registry().counter("fault.skipped_overlap").inc();
     return;
   }
   inject(victim, source);

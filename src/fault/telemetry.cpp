@@ -83,12 +83,12 @@ void RecoveryTelemetry::attribute_segment() {
 }
 
 void RecoveryTelemetry::observe_cost(const Incident& inc) {
-  registry_.observe("fault.alert_fanout",
-                    static_cast<double>(inc.alert_fanout));
-  registry_.observe("fault.replayed_msgs",
-                    static_cast<double>(inc.replayed_msgs));
-  registry_.observe("fault.nodes_rolled_back",
-                    static_cast<double>(inc.nodes_rolled_back));
+  registry_.summary_handle("fault.alert_fanout")
+      .add(static_cast<double>(inc.alert_fanout));
+  registry_.summary_handle("fault.replayed_msgs")
+      .add(static_cast<double>(inc.replayed_msgs));
+  registry_.summary_handle("fault.nodes_rolled_back")
+      .add(static_cast<double>(inc.nodes_rolled_back));
 }
 
 void RecoveryTelemetry::begin_incident(SimTime now, NodeId victim,
@@ -134,8 +134,8 @@ void RecoveryTelemetry::on_recovery_complete(SimTime now, ClusterId cluster) {
   inc.recovered_at = now;
   inc.recovery_complete = true;
   open_.erase(it);
-  registry_.observe("fault.recovery_latency_s",
-                    inc.recovery_latency().seconds());
+  registry_.summary_handle("fault.recovery_latency_s")
+      .add(inc.recovery_latency().seconds());
   latency_us_.add(static_cast<std::uint64_t>(inc.recovery_latency().ns / 1000));
   observe_cost(inc);
 }

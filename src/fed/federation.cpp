@@ -1,7 +1,5 @@
 #include "fed/federation.hpp"
 
-#include <cmath>
-
 namespace hc3i::fed {
 
 Federation::Federation(sim::Simulation& sim, config::RunSpec spec,
@@ -61,18 +59,6 @@ NodeId Federation::coordinator(ClusterId c) const {
                    " is down");
 }
 
-SimTime Federation::state_restore_delay(ClusterId c) const {
-  // Restoring the failed node = pulling its state from the neighbour's
-  // replica across the SAN (paper §3.1 stable storage).
-  const auto& san = spec_.topology.clusters[c.v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(spec_.application.state_bytes) / san.bytes_per_sec);
-  }
-  return delay;
-}
-
 void Federation::inject_failure(NodeId victim) {
   HC3I_CHECK(victim.v < topo_.node_count(), "inject_failure: bad node");
   const ClusterId c = topo_.cluster_of(victim);
@@ -83,7 +69,7 @@ void Federation::inject_failure(NodeId victim) {
   HC3I_CHECK(network_.node_up(victim), "inject_failure: node already down");
   recovery_pending_[c.v] = 1;
   ++failures_;
-  registry_.inc("fault.injected");
+  registry_.counter("fault.injected").inc();
   HC3I_OBS(recorder_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
   network_.set_node_down(victim);
 
@@ -94,9 +80,10 @@ void Federation::inject_failure(NodeId victim) {
     agent(coord).on_failure_detected(victim);
   });
   // The victim restarts from its neighbour's replica after the transfer.
-  sim_.schedule_after(detect + state_restore_delay(c), [this, victim, c] {
+  const SimTime restart = detect + config::state_transfer_time(spec_, c);
+  sim_.schedule_after(restart, [this, victim, c] {
     network_.set_node_up(victim);
-    registry_.inc("fault.node_restored");
+    registry_.counter("fault.node_restored").inc();
     HC3I_OBS(recorder_, obs::RecordKind::kNodeRestored, sim_.now(), c.v,
              victim.v, 0);
   });
@@ -104,7 +91,7 @@ void Federation::inject_failure(NodeId victim) {
 
 void Federation::recovery_complete(ClusterId c) {
   HC3I_OBS(recorder_, obs::RecordKind::kRecoveryEnd, sim_.now(), c.v, 0, 0);
-  registry_.inc("fault.recovery_complete");
+  registry_.counter("fault.recovery_complete").inc();
   recovery_pending_[c.v] = 0;
   if (recovery_listener_) recovery_listener_(c);
 }

@@ -99,8 +99,6 @@ class Federation {
   }
 
  private:
-  SimTime state_restore_delay(ClusterId c) const;
-
   sim::Simulation& sim_;
   config::RunSpec spec_;
   stats::Registry& registry_;

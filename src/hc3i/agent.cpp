@@ -1,7 +1,6 @@
 #include "hc3i/agent.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/trace.hpp"
 #include "proto/payload_pool.hpp"
@@ -14,28 +13,12 @@ using net::payload_as;
 
 Hc3iAgent::Hc3iAgent(const proto::AgentContext& ctx, Hc3iRuntime& rt)
     : AgentBase(ctx), rt_(rt),
-      cluster_base_(ctx.topology->first_node(ctx.cluster)),
       ddv_(rt.cluster_count(), ctx.cluster, 0),
       round_ddv_merge_(rt.cluster_count(), ctx.cluster, 0) {
   log_.attach_tally(&rt.log_tally(ctx.cluster));
   // known_rollbacks_ stays empty (size 0) until the first alert arrives:
   // failure-free runs — and most nodes of any run — never pay its per-node
   // per-cluster allocation.
-}
-
-std::string Hc3iAgent::cstat(const char* name) const {
-  return std::string(name) + ".c" + std::to_string(cluster().v);
-}
-
-stats::Counter& Hc3iAgent::stat(stats::Counter*& slot, const char* name) {
-  return stats::lazy_counter(*ctx_.registry, slot,
-                             [this, name] { return cstat(name); });
-}
-
-std::uint32_t Hc3iAgent::local_index(NodeId n) const {
-  HC3I_CHECK(ctx_.topology->cluster_of(n) == cluster(),
-             "local_index: node outside this cluster");
-  return n.v - cluster_base_.v;
 }
 
 std::uint32_t Hc3iAgent::replicas_needed() const {
@@ -65,21 +48,10 @@ proto::NodePart Hc3iAgent::make_part() {
   return part;
 }
 
-SimTime Hc3iAgent::state_restore_delay() const {
-  const auto& san = rt_.spec().topology.clusters[cluster().v].san;
-  SimTime delay = san.latency;
-  if (std::isfinite(san.bytes_per_sec)) {
-    delay += from_seconds_f(
-        static_cast<double>(rt_.spec().application.state_bytes) /
-        san.bytes_per_sec);
-  }
-  return delay;
-}
-
 void Hc3iAgent::note_log_highwater() {
   const proto::LogTally& tally = rt_.log_tally(cluster());
-  stat(stat_log_max_entries_, "log.max_entries").raise(tally.entries);
-  stat(stat_log_max_unacked_, "log.max_unacked").raise(tally.unacked);
+  cluster_stat(stat_log_max_entries_, "log.max_entries").raise(tally.entries);
+  cluster_stat(stat_log_max_unacked_, "log.max_unacked").raise(tally.unacked);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,22 +114,23 @@ void Hc3iAgent::start() {
 
 void Hc3iAgent::app_send(NodeId dst, std::uint64_t bytes,
                          std::uint64_t app_seq) {
-  if (rollback_pending_) return;  // frozen application cannot send
-  if (in_round_) {
-    // "Between the request and the commit messages, application messages
-    // are queued" (paper §3.1).
-    queued_sends_.push_back(QueuedSend{dst, bytes, app_seq});
-    stat(stat_queued_sends_, "clc.queued_sends").inc();
-    return;
+  // "Between the request and the commit messages, application messages are
+  // queued" (paper §3.1); a frozen application cannot send at all.
+  switch (gate_send(dst, bytes, app_seq)) {
+    case SendGate::kPass:
+      do_send(dst, bytes, app_seq);
+      return;
+    case SendGate::kQueued:
+      cluster_stat(stat_queued_sends_, "clc.queued_sends").inc();
+      return;
+    case SendGate::kDropped:
+      return;
   }
-  do_send(dst, bytes, app_seq);
 }
 
 void Hc3iAgent::do_send(NodeId dst, std::uint64_t bytes,
                         std::uint64_t app_seq) {
-  net::Piggyback piggy;
-  piggy.sn = sn_;
-  piggy.incarnation = inc_;
+  net::Piggyback piggy{sn_, inc_, {}};
   const bool inter = ctx_.topology->cluster_of(dst) != cluster();
   if (inter && rt_.options().transitive_ddv) {
     // The cluster's DDV is immutable within a (SN, incarnation) epoch, so
@@ -190,20 +163,12 @@ void Hc3iAgent::on_app_message(const net::Envelope& env) {
   if (!env.intra_cluster() && is_stale(env)) {
     // A pre-rollback message from an undone epoch of the sender; the new
     // incarnation will re-send it (DESIGN.md §3.5).
-    ctx_.registry->inc("cic.stale_dropped");
+    count_stale_drop();
     return;
   }
-  if (rollback_pending_) {
-    // The application is frozen between the protocol rollback and the
-    // state-transfer completion; hold arrivals until resume.
-    post_rollback_stash_.push_back(env);
-    return;
-  }
-  if (in_round_) {
-    // Queued until commit (both directions are frozen during the 2PC).
-    deferred_.push_back(env);
-    return;
-  }
+  // Held while the application is frozen for a rollback, or until the 2PC
+  // commit (both directions are frozen during a round).
+  if (hold_arrival(env)) return;
   if (env.intra_cluster()) {
     deliver_app(env);
   } else {
@@ -251,7 +216,7 @@ void Hc3iAgent::receive_inter_app(const net::Envelope& env) {
   if (dedup_.contains(env.app_seq)) {
     // Duplicate of an already-delivered message (a re-send raced with the
     // original copy). Re-acknowledge so the sender's log entry settles.
-    ctx_.registry->inc("cic.dup_dropped");
+    ctx_.registry->counter("cic.dup_dropped").inc();
     auto ack = proto::make_pooled<InterAck>();
     ack->msg = env.id;
     ack->ack_sn = sn_;
@@ -263,7 +228,7 @@ void Hc3iAgent::receive_inter_app(const net::Envelope& env) {
     // Fresh sender SN: a CLC has been stored in the sender's cluster since
     // the last communication — force a CLC before delivery (paper §3.2).
     wait_force_.push_back(env);
-    stat(stat_forced_triggers_, "cic.forced_triggers").inc();
+    cluster_stat(stat_forced_triggers_, "cic.forced_triggers").inc();
     send_demand(env.src_cluster, env.piggy.sn, env.piggy.ddv);
     return;
   }
@@ -302,7 +267,7 @@ void Hc3iAgent::drain_wait_queue() {
   std::vector<net::Envelope> still_waiting;
   for (const net::Envelope& env : wait_force_) {
     if (is_stale(env)) {
-      ctx_.registry->inc("cic.stale_dropped");
+      count_stale_drop();
       continue;
     }
     if (!cic_should_force(env)) {
@@ -387,15 +352,15 @@ void Hc3iAgent::handle_clc_request(const ClcRequest& m) {
   // time the application spends with messages queued.
   const std::uint64_t bytes = tentative_->app.delta_bytes;
   const std::uint64_t saved = tentative_->app.state_bytes - bytes;
-  stat(stat_ckpt_bytes_, "ckpt.bytes_written").inc(bytes);
+  cluster_stat(stat_ckpt_bytes_, "ckpt.bytes_written").inc(bytes);
   named_stat(stat_g_ckpt_bytes_, "ckpt.bytes_written").inc(bytes);
   if (saved > 0) {
-    stat(stat_ckpt_saved_, "ckpt.bytes_delta_saved").inc(saved);
+    cluster_stat(stat_ckpt_saved_, "ckpt.bytes_delta_saved").inc(saved);
     named_stat(stat_g_ckpt_saved_, "ckpt.bytes_delta_saved").inc(saved);
   }
   const SimTime stall = be->node_write_time(bytes);
   const std::uint64_t stall_us = static_cast<std::uint64_t>(stall.ns / 1000);
-  stat(stat_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
+  cluster_stat(stat_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
   named_stat(stat_g_ckpt_stall_, "ckpt.stall_us").inc(stall_us);
   HC3I_OBS(ctx_.obs, obs::RecordKind::kCkptWrite, now(), cluster().v, self().v,
            round_, bytes, static_cast<std::uint64_t>(stall.ns));
@@ -520,20 +485,21 @@ void Hc3iAgent::coordinator_commit_round() {
   }
   store().commit(std::move(rec));
 
-  stat(stat_clc_total_, "clc.total").inc();
+  cluster_stat(stat_clc_total_, "clc.total").inc();
   switch (round_reason_) {
     case RoundReason::kInitial:
-      stat(stat_clc_initial_, "clc.initial").inc();
+      cluster_stat(stat_clc_initial_, "clc.initial").inc();
       break;
     case RoundReason::kTimer:
-      stat(stat_clc_unforced_, "clc.unforced").inc();
+      cluster_stat(stat_clc_unforced_, "clc.unforced").inc();
       break;
     case RoundReason::kForced:
-      stat(stat_clc_forced_, "clc.forced").inc();
+      cluster_stat(stat_clc_forced_, "clc.forced").inc();
       break;
   }
-  stat(stat_store_max_clcs_, "store.max_clcs").raise(store().size());
-  stat(stat_store_max_bytes_, "store.max_bytes").raise(store().storage_bytes());
+  cluster_stat(stat_store_max_clcs_, "store.max_clcs").raise(store().size());
+  cluster_stat(stat_store_max_bytes_, "store.max_bytes")
+      .raise(store().storage_bytes());
   HC3I_OBS(ctx_.obs, obs::RecordKind::kClcCommit, now(), cluster().v, self().v,
            active_round_id_, static_cast<std::uint64_t>(new_sn),
            round_reason_ == RoundReason::kForced ? 1 : 0);
@@ -559,7 +525,6 @@ void Hc3iAgent::handle_clc_commit(const ClcCommit& m) {
   if (!in_round_ || m.round != round_) return;  // aborted round
   sn_ = m.sn;
   ddv_ = m.ddv;
-  in_round_ = false;
   tentative_.reset();
   if (is_cluster_coordinator() && clc_timer_) {
     // "The timer is reset when a forced CLC is established" (paper §5.2) —
@@ -568,12 +533,9 @@ void Hc3iAgent::handle_clc_commit(const ClcCommit& m) {
   }
   // Drain everything frozen during the round: sends first (they carry the
   // new SN), then arrivals, then the forced-CLC stash.
-  auto sends = std::move(queued_sends_);
-  queued_sends_.clear();
-  for (const QueuedSend& q : sends) do_send(q.dst, q.bytes, q.app_seq);
-  auto arrivals = std::move(deferred_);
-  deferred_.clear();
-  for (const net::Envelope& env : arrivals) on_app_message(env);
+  end_round(
+      [this](const QueuedSend& q) { do_send(q.dst, q.bytes, q.app_seq); },
+      [this](const net::Envelope& env) { on_app_message(env); });
   drain_wait_queue();
   if (pending_request_) {
     // The next round's request overtook this commit on the SAN; join it now
@@ -605,7 +567,7 @@ void Hc3iAgent::on_failure_detected(NodeId failed) {
   if (ProtocolObserver* ob = rt_.observer()) {
     ob->on_failure_detected(cluster(), failed);
   }
-  stat(stat_rollback_faults_, "rollback.faults").inc();
+  cluster_stat(stat_rollback_faults_, "rollback.faults").inc();
   // Paper §4: the first CLC "is the beginning of the application".  A fault
   // while the initial round is still in phase 1 restarts the cluster from
   // that beginning: SN 0, the zero DDV, the empty ledger cut and a fresh
@@ -635,14 +597,10 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
   const proto::ClcRecord& rec = *rec_sp;
   const ClusterId c = cluster();
   const Incarnation new_inc = rt_.bump_incarnation(c);
-  named_stat(stat_rollback_global_, "rollback.count").inc();
-  stat(stat_rollback_count_, "rollback.count").inc();
   // Node-level blast radius: the whole cluster restores (recovery telemetry
-  // diffs this per incident).
-  named_stat(stat_rollback_nodes_, "rollback.nodes")
-      .inc(ctx_.topology->cluster_size(c));
-  named_summary(stat_rollback_depth_, "rollback.depth_clcs")
-      .add(static_cast<double>(sn_ - rec.sn));
+  // diffs rollback.nodes per incident).
+  count_rollback(ctx_.topology->cluster_size(c), sn_, rec.sn);
+  cluster_stat(stat_rollback_count_, "rollback.count").inc();
   HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), c.v, self().v,
            new_inc, rec.sn, fault_origin ? 0 : 1);
 
@@ -678,7 +636,7 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
   store().truncate_after(rec.sn);
 
   // 5. Re-inject the channel state once every node has restored.
-  SimTime resume_delay = state_restore_delay();
+  SimTime resume_delay = config::state_transfer_time(rt_.spec(), c);
   const storage::Backend* be = rt_.backend(c);
   if (be != nullptr && !store().empty()) {
     // Storage-modelled recovery: every node re-reads its checkpoint chain
@@ -694,7 +652,7 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
     }
     const SimTime read = be->cluster_read_time(total_bytes, max_node_bytes);
     const std::uint64_t read_us = static_cast<std::uint64_t>(read.ns / 1000);
-    stat(stat_recovery_read_, "recovery.read_us").inc(read_us);
+    cluster_stat(stat_recovery_read_, "recovery.read_us").inc(read_us);
     named_stat(stat_g_recovery_read_, "recovery.read_us").inc(read_us);
     HC3I_OBS(ctx_.obs, obs::RecordKind::kChainRead, now(), c.v, self().v,
              static_cast<std::uint64_t>(rec.sn), total_bytes,
@@ -741,13 +699,6 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
 void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
                                        Incarnation new_inc, bool lost_memory) {
   const std::uint32_t idx = local_index(self());
-  // Lost-work accounting: everything since the restored snapshot.
-  const proto::AppSnapshot current = ctx_.app->snapshot();
-  const SimTime lost = current.virtual_work - rec.parts[idx].app.virtual_work;
-  if (lost.ns > 0) {
-    ctx_.registry->observe("rollback.lost_work_s", lost.seconds());
-  }
-
   sn_ = rec.sn;
   ddv_ = rec.ddv;
   inc_ = new_inc;
@@ -758,11 +709,7 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
     log_.truncate_from(rec.sn);
   }
   wait_force_.clear();
-  deferred_.clear();
-  queued_sends_.clear();
-  post_rollback_stash_.clear();
   pending_request_.reset();  // pre-rollback round; its inc is stale anyway
-  in_round_ = false;
   tentative_.reset();
   round_active_ = false;
   pending_raises_.clear();
@@ -780,23 +727,19 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   parts_.clear();
   round_ddv_merge_ = ddv_;
   if (clc_timer_) clc_timer_->cancel();
-  rollback_pending_ = true;
-  ctx_.app->freeze();
+  freeze_for_rollback(rec.parts[idx].app);
 }
 
 void Hc3iAgent::resume_after_rollback(const proto::ClcRecord& rec) {
-  rollback_pending_ = false;
-  ctx_.app->restore(rec.parts[local_index(self())].app);
-  if (is_cluster_coordinator() && clc_timer_) clc_timer_->reset();
-  auto stash = std::move(post_rollback_stash_);
-  post_rollback_stash_.clear();
-  for (const net::Envelope& env : stash) on_app_message(env);
+  resume_from_rollback(rec.parts[local_index(self())].app, [this] {
+    if (is_cluster_coordinator() && clc_timer_) clc_timer_->reset();
+  });
 }
 
 void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
   HC3I_CHECK(m.faulty != cluster(), "alert from own cluster");
   if (!alerts_seen_.insert({m.faulty.v, m.new_inc}).second) return;
-  ctx_.registry->inc("rollback.alerts");
+  ctx_.registry->counter("rollback.alerts").inc();
   if (known_rollbacks_.empty()) known_rollbacks_.resize(rt_.cluster_count());
   known_rollbacks_[m.faulty.v].push_back(
       RollbackInfo{m.new_inc, m.restored_sn});
@@ -812,7 +755,7 @@ void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
         find_rollback_target(m.faulty, m.restored_sn);
     HC3I_CHECK(target != nullptr,
                "no rollback target — the garbage collector over-pruned");
-    stat(stat_rollback_cascade_, "rollback.cascade").inc();
+    cluster_stat(stat_rollback_cascade_, "rollback.cascade").inc();
     rollback_cluster(*target, /*fault_origin=*/false);
   }
 
@@ -852,7 +795,7 @@ void Hc3iAgent::on_gc_timer() {
   gc_epoch_at_start_ = rt_.fed_rollback_epoch();
   gc_metas_.assign(rt_.cluster_count(), std::nullopt);
   gc_responses_ = 0;
-  ctx_.registry->inc("gc.rounds");
+  ctx_.registry->counter("gc.rounds").inc();
   HC3I_OBS(ctx_.obs, obs::RecordKind::kGcRoundBegin, now(), cluster().v,
            self().v, gc_round_);
   auto req = proto::make_pooled<GcRequest>();
@@ -882,7 +825,7 @@ void Hc3iAgent::handle_gc_request(const net::Envelope& env, const GcRequest& m) 
       metas.size(), rt_.cluster_count(), ControlSizes::kPerDdvEntry);
   const std::uint64_t bytes = ControlSizes::kSmall + resp->metas.wire_bytes();
   if (flat > resp->metas.wire_bytes()) {
-    stat(stat_gc_resp_saved_, "gc.resp_bytes_saved")
+    cluster_stat(stat_gc_resp_saved_, "gc.resp_bytes_saved")
         .inc(flat - resp->metas.wire_bytes());
   }
   send_control_or_local(env.src, bytes, std::move(resp));
@@ -897,7 +840,7 @@ void Hc3iAgent::handle_gc_response(const GcResponse& m) {
   gc_active_ = false;
   if (rt_.fed_rollback_epoch() != gc_epoch_at_start_) {
     // A rollback raced with this GC round; the snapshots are inconsistent.
-    ctx_.registry->inc("gc.aborted");
+    ctx_.registry->counter("gc.aborted").inc();
     return;
   }
   std::vector<std::vector<proto::ClcMeta>> metas;
@@ -923,7 +866,7 @@ void Hc3iAgent::handle_gc_collect(const GcCollect& m) {
   const std::size_t removed = store().prune_before(m.min_sns[cluster().v]);
   const std::size_t after = store().size();
   rt_.record_gc(now(), cluster(), before, after);
-  stat(stat_gc_removed_, "gc.clcs_removed").inc(removed);
+  cluster_stat(stat_gc_removed_, "gc.clcs_removed").inc(removed);
   HC3I_OBS(ctx_.obs, obs::RecordKind::kGcPrune, now(), cluster().v, self().v,
            m.gc_round, removed, after);
   auto prune = proto::make_pooled<GcPrune>();
@@ -941,7 +884,9 @@ void Hc3iAgent::handle_gc_prune(const GcPrune& m) {
     removed +=
         log_.prune(ClusterId{static_cast<std::uint32_t>(d)}, m.min_sns[d]);
   }
-  if (removed > 0) ctx_.registry->inc("gc.log_entries_removed", removed);
+  if (removed > 0) {
+    ctx_.registry->counter("gc.log_entries_removed").inc(removed);
+  }
 }
 
 }  // namespace hc3i::core

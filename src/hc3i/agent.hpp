@@ -62,11 +62,9 @@ class Hc3iAgent : public proto::AgentBase {
   SeqNum sn() const { return sn_; }
   const proto::Ddv& ddv() const { return ddv_; }
   Incarnation incarnation() const { return inc_; }
-  bool in_round() const { return in_round_; }
   std::size_t log_size() const { return log_.size(); }
   const proto::MsgLog& msg_log() const { return log_; }
   std::size_t waiting_forced() const { return wait_force_.size(); }
-  bool rollback_pending() const { return rollback_pending_; }
 
   /// Why a CLC round was started (statistics bucket).
   enum class RoundReason { kInitial, kTimer, kForced };
@@ -87,8 +85,6 @@ class Hc3iAgent : public proto::AgentBase {
   Hc3iRuntime& rt_;
 
  private:
-  const NodeId cluster_base_;  ///< first node of this cluster: local index 0
-
   // -- receive dispatch
   void on_app_message(const net::Envelope& env);
   void on_control_message(const net::Envelope& env);
@@ -132,12 +128,6 @@ class Hc3iAgent : public proto::AgentBase {
   void handle_gc_prune(const GcPrune& m);
 
   // -- helpers
-  std::string cstat(const char* name) const;
-  /// Lazily resolve a per-cluster counter handle ("<name>.c<cluster>") into
-  /// `slot`: the name string is built once per agent, not once per bump, and
-  /// the counter still only exists once actually touched.
-  stats::Counter& stat(stats::Counter*& slot, const char* name);
-  std::uint32_t local_index(NodeId n) const;
   /// Capture this node's CLC part.  Non-const: with a storage backend the
   /// capture consumes the app's dirty-range watermark (delta chains).
   proto::NodePart make_part();
@@ -148,7 +138,6 @@ class Hc3iAgent : public proto::AgentBase {
   std::uint32_t replicas_needed() const;
   proto::ClcStore& store() { return rt_.store(cluster()); }
   const proto::ClcStore& store() const { return rt_.store(cluster()); }
-  SimTime state_restore_delay() const;
   void note_log_highwater();
 
  protected:
@@ -165,14 +154,6 @@ class Hc3iAgent : public proto::AgentBase {
                                             ///< (hashed membership; sorted
                                             ///< shared image at capture)
   std::vector<net::Envelope> wait_force_;   ///< stashed, awaiting forced CLC
-  std::vector<net::Envelope> deferred_;     ///< arrived during a 2PC round
-  struct QueuedSend {
-    NodeId dst;
-    std::uint64_t bytes;
-    std::uint64_t app_seq;
-  };
-  std::vector<QueuedSend> queued_sends_;    ///< issued during a 2PC round
-  bool in_round_{false};
   std::uint64_t round_{0};                  ///< round currently joined
   /// A ClcRequest for a round NEWER than the one we're in: the previous
   /// round's commit carries the merged DDV, so it is larger and slower on
@@ -187,8 +168,6 @@ class Hc3iAgent : public proto::AgentBase {
   std::optional<std::uint32_t> lost_memory_idx_;  ///< failed node (this fault)
 
   // Rollback bookkeeping.
-  bool rollback_pending_{false};            ///< protocol restored, app not yet
-  std::vector<net::Envelope> post_rollback_stash_;
   struct RollbackInfo {
     Incarnation inc;
     SeqNum restored;
@@ -210,7 +189,7 @@ class Hc3iAgent : public proto::AgentBase {
   std::size_t acks_received_{0};
   std::unique_ptr<sim::Timer> clc_timer_;
 
-  // Pre-resolved stats handles (see stat()).
+  // Pre-resolved stats handles (see cluster_stat()).
   stats::Counter* stat_log_max_entries_{nullptr};
   stats::Counter* stat_log_max_unacked_{nullptr};
   stats::Counter* stat_queued_sends_{nullptr};
@@ -223,8 +202,6 @@ class Hc3iAgent : public proto::AgentBase {
   stats::Counter* stat_store_max_bytes_{nullptr};
   stats::Counter* stat_rollback_faults_{nullptr};
   stats::Counter* stat_rollback_count_{nullptr};
-  stats::Counter* stat_rollback_global_{nullptr};
-  stats::Counter* stat_rollback_nodes_{nullptr};
   stats::Counter* stat_rollback_cascade_{nullptr};
   stats::Counter* stat_gc_removed_{nullptr};
   stats::Counter* stat_gc_resp_saved_{nullptr};
@@ -238,7 +215,6 @@ class Hc3iAgent : public proto::AgentBase {
   stats::Counter* stat_g_ckpt_saved_{nullptr};
   stats::Counter* stat_g_ckpt_stall_{nullptr};
   stats::Counter* stat_g_recovery_read_{nullptr};
-  stats::Summary* stat_rollback_depth_{nullptr};
 
   // GC initiator state (coordinator of cluster 0 only).
   std::unique_ptr<sim::Timer> gc_timer_;

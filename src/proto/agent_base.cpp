@@ -2,6 +2,10 @@
 
 namespace hc3i::proto {
 
+AgentBase::AgentBase(AgentContext ctx)
+    : ProtocolAgent(std::move(ctx)),
+      cluster_base_(ctx_.topology->first_node(ctx_.cluster)) {}
+
 net::Envelope AgentBase::send_app(NodeId dst, std::uint64_t bytes,
                                   std::uint64_t app_seq,
                                   const net::Piggyback& piggy) {
@@ -23,9 +27,9 @@ net::Envelope AgentBase::send_app(NodeId dst, std::uint64_t bytes,
 net::Envelope AgentBase::resend_app(const net::Envelope& original) {
   net::Envelope env = original;
   ctx_.ledger->record_send(env.app_seq, self(), cluster(), now());
-  ctx_.registry->inc("log.resent_msgs");
+  ctx_.registry->counter("log.resent_msgs").inc();
   // Replay cost in bytes (recovery telemetry reports it per incident).
-  ctx_.registry->inc("log.resent_bytes", env.payload_bytes);
+  ctx_.registry->counter("log.resent_bytes").inc(env.payload_bytes);
   env.sent_at = now();
   env.id = ctx_.network->send(env);
   return env;
@@ -34,6 +38,31 @@ net::Envelope AgentBase::resend_app(const net::Envelope& original) {
 void AgentBase::deliver_app(const net::Envelope& env) {
   ctx_.ledger->record_delivery(env.app_seq, self(), cluster(), now());
   ctx_.app->deliver(env);
+}
+
+void AgentBase::freeze_for_rollback(const AppSnapshot& restored) {
+  const SimTime lost =
+      ctx_.app->snapshot().virtual_work - restored.virtual_work;
+  if (lost.ns > 0) {
+    named_summary(stat_lost_work_, "rollback.lost_work_s").add(lost.seconds());
+  }
+  in_round_ = false;
+  queued_sends_.clear();
+  deferred_.clear();
+  post_rollback_stash_.clear();
+  rollback_pending_ = true;
+  ctx_.app->freeze();
+}
+
+void AgentBase::count_rollback(std::uint32_t nodes) {
+  named_stat(stat_rollback_count_, "rollback.count").inc();
+  named_stat(stat_rollback_nodes_, "rollback.nodes").inc(nodes);
+}
+
+void AgentBase::count_rollback(std::uint32_t nodes, SeqNum from, SeqNum to) {
+  count_rollback(nodes);
+  named_summary(stat_rollback_depth_, "rollback.depth_clcs")
+      .add(static_cast<double>(from - to));
 }
 
 MsgId AgentBase::send_control(

@@ -11,8 +11,9 @@
 // bump through it; the per-call cost is then a single add, not a string
 // construction plus a tree walk.  Names are interned in an open-addressing
 // hash table that maps to dense indices; the values live in chunked slabs so
-// handles stay valid as the registry grows.  The original name-keyed API is
-// kept as a thin shim over the same storage, so results read identically.
+// handles stay valid as the registry grows.  Every write goes through a
+// handle; the one name-keyed write left, set(), serves result fields that a
+// caller stores once after a run.
 
 #include <cstdint>
 #include <memory>
@@ -123,33 +124,20 @@ class Registry {
     return summaries_.ensure(summary_names_.intern(name));
   }
 
-  // --- name-keyed compatibility shim over the same storage ---
+  // --- name-keyed access over the same storage ---
 
-  /// Add `delta` to a named counter (creates it at zero first).
-  void inc(std::string_view name, std::uint64_t delta = 1) {
-    counter(name).inc(delta);
-  }
-
-  /// Set a counter to an absolute value (gauges, e.g. high-water marks).
+  /// Set a counter to an absolute value (creates it first).
   void set(std::string_view name, std::uint64_t value) {
     counter(name).set(value);
-  }
-
-  /// Raise a gauge to `value` if it is below it (high-water-mark update).
-  void raise(std::string_view name, std::uint64_t value) {
-    counter(name).raise(value);
   }
 
   /// Current value of a counter (0 if never touched).
   std::uint64_t get(std::string_view name) const;
 
-  /// Record an observation into a named summary.
-  void observe(std::string_view name, double x) { summary_handle(name).add(x); }
-
   /// Read a named summary.  The returned reference is the live slot: a
-  /// later observe() of the same name updates what it sees (reading an
-  /// untouched name interns an empty summary — count() stays 0 until
-  /// someone observes into it).
+  /// later add() through a handle of the same name updates what it sees
+  /// (reading an untouched name interns an empty summary — count() stays 0
+  /// until someone adds to it).
   const Summary& summary(std::string_view name) const {
     return summaries_.ensure(summary_names_.intern(name));
   }
@@ -167,7 +155,7 @@ class Registry {
   mutable detail::NameIndex summary_names_;
   detail::Slab<Counter> counters_;
   // Summaries are interned (not copied) by const reads so the reference a
-  // reader holds is the same slot a later observe() writes — the registry
+  // reader holds is the same slot a later handle add() writes — the registry
   // is logically unchanged by the read.
   mutable detail::Slab<Summary> summaries_;
 };

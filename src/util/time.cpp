@@ -32,18 +32,16 @@ std::size_t format_time(SimTime t, char* buf, std::size_t cap) {
   } else if (ns < 60LL * 1'000'000'000) {
     n = std::snprintf(buf, cap, "%.4gs", static_cast<double>(ns) / 1e9);
   } else {
-    const std::int64_t total_s = ns / 1'000'000'000;
-    const std::int64_t h = total_s / 3600;
-    const std::int64_t m = (total_s % 3600) / 60;
-    const double s = static_cast<double>(ns % 60'000'000'000) / 1e9;
-    if (h > 0) {
-      n = std::snprintf(buf, cap, "%lldh%02lldm%04.1fs",
-                        static_cast<long long>(h), static_cast<long long>(m),
-                        s);
-    } else {
-      n = std::snprintf(buf, cap, "%lldm%04.1fs", static_cast<long long>(m),
-                        s);
-    }
+    // Round to the printed 0.1 s first, so 59.96 s carries into the minute
+    // instead of printing as 60.0 s.
+    const long long tenths = (ns + 50'000'000) / 100'000'000;
+    const long long h = tenths / 36'000;
+    const long long m = tenths / 600 % 60;
+    const long long s = tenths % 600;
+    n = h > 0 ? std::snprintf(buf, cap, "%lldh%02lldm%02lld.%llds", h, m,
+                              s / 10, s % 10)
+              : std::snprintf(buf, cap, "%lldm%02lld.%llds", m, s / 10,
+                              s % 10);
   }
   return n > 0 ? static_cast<std::size_t>(n) : 0;
 }

@@ -389,7 +389,7 @@ TEST(SweepConfig, ParsesFullFile) {
       "[campaign clean]\n"
       "kind = none\n"
       "[campaign faulty]\n"
-      "kind = reference\n";
+      "kind = faulty\n";
   const batch::SweepSpec sweep = batch::parse_sweep(text, "test.ini");
   ASSERT_EQ(sweep.topologies.size(), 2u);
   EXPECT_EQ(sweep.topologies[0].name, "tiny");
@@ -418,11 +418,17 @@ TEST(SweepConfig, RejectsMalformedSweeps) {
   // Unknown section / key / preset / campaign kind.
   EXPECT_THROW(batch::parse_sweep("[bogus]\n"), ParseError);
   EXPECT_THROW(batch::parse_sweep("[sweep]\nfrobnicate = 1\n"), ParseError);
+  EXPECT_THROW(batch::parse_sweep("[topology t]\npreset = small\nnodse = 3\n"),
+               ParseError);
   EXPECT_THROW(
       batch::parse_sweep("[topology t]\npreset = toroidal\nclusters = 2\n"),
       ParseError);
   EXPECT_THROW(batch::parse_sweep("[topology t]\npreset = small\n"
                                   "[campaign c]\nkind = mystery\n"),
+               ParseError);
+  // The file takes the CLI's campaign tokens, not a spelling of its own.
+  EXPECT_THROW(batch::parse_sweep("[topology t]\npreset = small\n"
+                                  "[campaign c]\nkind = reference\n"),
                ParseError);
   // Duplicate [sweep].
   EXPECT_THROW(batch::parse_sweep("[sweep]\n[sweep]\n[topology t]\n"),
@@ -433,6 +439,23 @@ TEST(SweepConfig, RejectsMalformedSweeps) {
                                   "clusters = 2\nnodes = 3\n"
                                   "[campaign o]\nkind = overlap\n"),
                ParseError);
+}
+
+TEST(SweepConfig, MtbfCampaignKindIsTheCliToken) {
+  const batch::SweepSpec sweep = batch::parse_sweep(
+      "[topology t]\npreset = small\nclusters = 2\nnodes = 3\n"
+      "[campaign storm]\nkind = mtbf:2min\n");
+  ASSERT_EQ(sweep.campaigns.size(), 1u);
+  const batch::CampaignPoint& file = sweep.campaigns[0];
+  EXPECT_EQ(file.name, "storm");
+  ASSERT_EQ(file.kind, batch::CampaignPoint::Kind::kExplicit);
+  // One federation-wide stream, exactly what the CLI builds for the token.
+  fault::StreamSpec stream;
+  stream.mtbf = minutes(2);
+  EXPECT_EQ(file.plan->streams, std::vector<fault::StreamSpec>{stream});
+  EXPECT_EQ(batch::parse_campaign_token("mtbf:2min").plan->streams,
+            file.plan->streams);
+  EXPECT_THROW(batch::parse_campaign_token("mtbf:0s"), config::ParseError);
 }
 
 TEST(SweepConfig, SeedListSyntax) {

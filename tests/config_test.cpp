@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -138,6 +139,57 @@ clc_period = inf
   EXPECT_EQ(timers.gc_period, hours(2));
   EXPECT_EQ(timers.clusters[0].clc_period, minutes(30));
   EXPECT_TRUE(timers.clusters[1].clc_period.is_infinite());
+}
+
+// A misspelled key is an error in every config kind, never a silent default.
+void expect_parse_error(const std::function<void()>& parse,
+                        const std::string& message) {
+  try {
+    parse();
+    ADD_FAILURE() << "no ParseError, expected: " << message;
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(UnknownKeys, TopologyRejectsMisspelledKey) {
+  expect_parse_error(
+      [] {
+        parse_topology("[federation]\nclusters = 1\n[cluster 0]\n"
+                       "nodes = 2\nlatency = 1us\nbandwidth = 1Mb/s\n"
+                       "storage_latnecy = 2ms\n",
+                       "t.conf");
+      },
+      "t.conf:3: unknown key 'storage_latnecy' in [cluster]");
+}
+
+TEST(UnknownKeys, ApplicationRejectsMisspelledKey) {
+  const TopologySpec topo = parse_topology(kTopology);
+  expect_parse_error(
+      [&topo] {
+        parse_application("[application]\ntotal_time = 1h\nstate_sise = 8MB\n",
+                          topo, "a.conf");
+      },
+      "a.conf:1: unknown key 'state_sise' in [application]");
+}
+
+TEST(UnknownKeys, TimersRejectsMisspelledKey) {
+  const TopologySpec topo = parse_topology(kTopology);
+  expect_parse_error(
+      [&topo] { parse_timers("[timers]\ngc_perod = 1h\n", topo, "t.conf"); },
+      "t.conf:1: unknown key 'gc_perod' in [timers]");
+}
+
+TEST(UnknownKeys, CampaignRejectsMisspelledKey) {
+  // Without the check this ran as a federation-wide stream.
+  const TopologySpec topo = parse_topology(kTopology);
+  expect_parse_error(
+      [&topo] {
+        parse_campaign("[stream]\nmtbf = 20min\nclsuter = 1\n", topo, "c");
+      },
+      "c:1: unknown key 'clsuter' in [stream] (known: mtbf, cluster, start, "
+      "stop)");
 }
 
 TEST(Writer, TopologyRoundTrips) {

@@ -5,9 +5,8 @@ rot.  Runs as a ctest (`lint_selftest`) and in the CI lint job:
 
     python3 tests/lint_test.py
 
-All fixtures are scanned with the regex engine (the always-available
-fallback) so the results are identical on machines with and without
-libclang.
+Fixtures are scanned in memory through the same scan_text() the tree
+scan uses.
 """
 
 import os
@@ -21,7 +20,7 @@ import hc3i_lint  # noqa: E402
 
 def scan(snippet, path="src/fake/fixture.cpp"):
     """Lint one in-memory fixture; returns (active, suppressed, errors)."""
-    fs = hc3i_lint.scan_text(path, snippet, engine="regex")
+    fs = hc3i_lint.scan_text(path, snippet)
     active = [f for f in fs.findings if not f.suppressed_by]
     suppressed = [f for f in fs.findings if f.suppressed_by]
     return active, suppressed, fs.errors
@@ -307,7 +306,7 @@ class RepoIsClean(unittest.TestCase):
     def test_strict_run_over_tree_passes(self):
         # The real tree, the real baseline, strict mode: exactly what CI
         # runs.  Any regression in either the code or the linter shows here.
-        rc = hc3i_lint.main(["--strict", "--engine=regex"])
+        rc = hc3i_lint.main(["--strict"])
         self.assertEqual(rc, 0)
 
 

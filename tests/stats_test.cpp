@@ -84,24 +84,24 @@ TEST(Histogram, RejectsBadConstruction) {
 TEST(Registry, CountersStartAtZero) {
   Registry r;
   EXPECT_EQ(r.get("nope"), 0u);
-  r.inc("a");
-  r.inc("a", 4);
+  r.counter("a").inc();
+  r.counter("a").inc(4);
   EXPECT_EQ(r.get("a"), 5u);
 }
 
 TEST(Registry, SetAndRaise) {
   Registry r;
   r.set("gauge", 10);
-  r.raise("gauge", 5);
+  r.counter("gauge").raise(5);
   EXPECT_EQ(r.get("gauge"), 10u);
-  r.raise("gauge", 15);
+  r.counter("gauge").raise(15);
   EXPECT_EQ(r.get("gauge"), 15u);
 }
 
 TEST(Registry, Summaries) {
   Registry r;
-  r.observe("lat", 1.0);
-  r.observe("lat", 3.0);
+  r.summary_handle("lat").add(1.0);
+  r.summary_handle("lat").add(3.0);
   EXPECT_EQ(r.summary("lat").count(), 2u);
   EXPECT_DOUBLE_EQ(r.summary("lat").mean(), 2.0);
   EXPECT_EQ(r.summary("absent").count(), 0u);
@@ -113,7 +113,7 @@ TEST(Registry, HandleAndNameApisShareStorage) {
   c.inc();
   c.inc(4);
   EXPECT_EQ(r.get("hits"), 5u);       // name shim reads handle-backed storage
-  r.inc("hits", 2);                   // and writes land where the handle reads
+  r.set("hits", 7);                   // and writes land where the handle reads
   EXPECT_EQ(c.value(), 7u);
   EXPECT_EQ(&r.counter("hits"), &c);  // re-resolution returns the same slot
   c.raise(3);
@@ -125,7 +125,7 @@ TEST(Registry, HandleAndNameApisShareStorage) {
 
   Summary& s = r.summary_handle("lat");
   s.add(1.0);
-  r.observe("lat", 3.0);
+  r.summary_handle("lat").add(3.0);
   EXPECT_EQ(r.summary("lat").count(), 2u);
   EXPECT_DOUBLE_EQ(s.mean(), 2.0);
 }
@@ -146,13 +146,13 @@ TEST(Registry, HandlesStayValidAsRegistryGrows) {
 TEST(Registry, ConstSummaryLookupTracksLaterObservations) {
   // Regression: the old implementation returned a shared static empty
   // summary for untouched names, so a reference taken before the first
-  // observe() never saw the data.
+  // add() never saw the data.
   Registry r;
   const Registry& cr = r;
   const Summary& s = cr.summary("lat");
   EXPECT_EQ(s.count(), 0u);
-  r.observe("lat", 4.0);
-  r.observe("lat", 6.0);
+  r.summary_handle("lat").add(4.0);
+  r.summary_handle("lat").add(6.0);
   EXPECT_EQ(s.count(), 2u);  // the earlier reference sees the live slot
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   // And the const read must not have invented a counter.
@@ -162,10 +162,10 @@ TEST(Registry, ConstSummaryLookupTracksLaterObservations) {
 TEST(Registry, CopyIsDeepAndIndependent) {
   Registry r;
   r.counter("a").inc(3);
-  r.observe("lat", 1.0);
+  r.summary_handle("lat").add(1.0);
   Registry copy = r;
   copy.counter("a").inc();
-  copy.observe("lat", 9.0);
+  copy.summary_handle("lat").add(9.0);
   EXPECT_EQ(r.get("a"), 3u);
   EXPECT_EQ(copy.get("a"), 4u);
   EXPECT_EQ(r.summary("lat").count(), 1u);
@@ -176,8 +176,8 @@ TEST(Registry, CopyIsDeepAndIndependent) {
 
 TEST(Registry, NamesSortedAndDump) {
   Registry r;
-  r.inc("zulu");
-  r.inc("alpha");
+  r.counter("zulu").inc();
+  r.counter("alpha").inc();
   const auto names = r.counter_names();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");

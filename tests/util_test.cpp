@@ -80,6 +80,15 @@ TEST(FormatTime, MatchesToString) {
   }
 }
 
+TEST(FormatTime, RoundingCarriesIntoMinutesAndHours) {
+  EXPECT_EQ(to_string(minutes(59) + seconds(59) + milliseconds(999)),
+            "1h00m00.0s");
+  EXPECT_EQ(to_string(minutes(1) + seconds(59) + milliseconds(960)),
+            "2m00.0s");
+  EXPECT_EQ(to_string(minutes(1) + seconds(59) + milliseconds(940)),
+            "1m59.9s");
+}
+
 // ---------------------------------------------------------------------------
 // RngStream
 // ---------------------------------------------------------------------------

@@ -145,7 +145,10 @@ def check_binary_names(root: str):
                              cwd=root, capture_output=True, check=True)
     errors = []
     for rel in filter(None, tracked.stdout.decode().split("\0")):
-        with open(os.path.join(root, rel), encoding="utf-8") as f:
+        path = os.path.join(root, rel)
+        if not os.path.exists(path):  # deleted in the tree, still indexed
+            continue
+        with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 errors += [f"{rel}:{lineno}: ./build/{name} is not a target "
                            "of the top-level CMakeLists.txt"

@@ -50,14 +50,11 @@ Suppression, two mechanisms, both reason-carrying:
 Empty reasons are rejected.  Under ``--strict``, baseline entries that no
 longer match any finding are rejected too (a stale suppression is a hole).
 
-Engine: uses libclang (python bindings) for declaration-level precision
-when importable, and always falls back to the token/regex engine —
-CI can never silently skip the pass because clang is missing.
-``--engine=regex`` forces the fallback (the self-tests use it so they are
-deterministic across environments).
+Engine: a token/regex scan over comment- and string-stripped source.  It
+needs nothing beyond the Python standard library, so CI can never skip it.
 
 Usage:
-    python3 tools/hc3i_lint.py [--strict] [--engine=auto|regex]
+    python3 tools/hc3i_lint.py [--strict]
                                [--baseline=tools/lint_baseline.txt]
                                [paths...]
 Default scan set: src/, examples/, bench/ under the repo root (own-static
@@ -254,7 +251,7 @@ def collect_tags(raw_lines, path):
     return suppress, errors
 
 
-# --- rule engines (regex/token fallback — always available) -----------------
+# --- rule scanners ---------------------------------------------------------
 
 WALLCLOCK_RE = re.compile(
     r"std::chrono::(?:system_clock|steady_clock|high_resolution_clock)"
@@ -435,56 +432,6 @@ def scan_own_static(stripped_lines, out, path):
         i = j + 1
 
 
-# --- optional libclang engine ----------------------------------------------
-
-def try_clang_index():
-    """Import libclang if present; return a usable Index or None."""
-    try:
-        from clang import cindex  # type: ignore
-        idx = cindex.Index.create()
-        return cindex, idx
-    except Exception:
-        return None
-
-
-def clang_extra_findings(cindex, index, abspath, relpath):
-    """AST pass: unordered-container and mutable-static variable decls.
-
-    Purely additive precision on top of the regex engine (catches aliased
-    or macro-hidden declarations the token pass cannot see); any failure
-    degrades silently to the regex results.
-    """
-    out = []
-    try:
-        tu = index.parse(abspath, args=["-std=c++20", "-Isrc"])
-        for cur in tu.cursor.walk_preorder():
-            try:
-                if cur.location.file is None:
-                    continue
-                if os.path.abspath(cur.location.file.name) != abspath:
-                    continue
-                if cur.kind in (cindex.CursorKind.VAR_DECL,
-                                cindex.CursorKind.FIELD_DECL):
-                    spelling = cur.type.get_canonical().spelling
-                    if "unordered_map" in spelling or \
-                            "unordered_set" in spelling:
-                        out.append(Finding("det-unordered", relpath,
-                                           cur.location.line,
-                                           spelling[:80]))
-                if cur.kind == cindex.CursorKind.VAR_DECL and \
-                        cur.storage_class == cindex.StorageClass.STATIC:
-                    t = cur.type.get_canonical()
-                    if not t.is_const_qualified():
-                        out.append(Finding("own-static", relpath,
-                                           cur.location.line,
-                                           cur.spelling))
-            except Exception:
-                continue
-    except Exception:
-        return []
-    return out
-
-
 # --- baseline ---------------------------------------------------------------
 
 def load_baseline(path):
@@ -541,7 +488,7 @@ def iter_sources(root, paths):
                     yield os.path.join(dirpath, name)
 
 
-def scan_text(relpath, text, engine="regex", clang_ctx=None, abspath=None):
+def scan_text(relpath, text):
     """Scan one file's contents; returns FileScan (pre-suppression applied
     for tags, baseline applied by the caller)."""
     fs = FileScan()
@@ -580,15 +527,6 @@ def scan_text(relpath, text, engine="regex", clang_ctx=None, abspath=None):
     if top in RULE_SCOPES["trace-guarded"]:
         scan_trace_guarded(stripped_lines, findings, relpath)
 
-    if engine == "clang" and clang_ctx is not None and abspath:
-        cindex, index = clang_ctx
-        extra = clang_extra_findings(cindex, index, abspath, relpath)
-        seen = {(f.rule, f.line) for f in findings}
-        findings.extend(f for f in extra
-                        if f.rule in RULE_SCOPES and
-                        top in RULE_SCOPES[f.rule] and
-                        (f.rule, f.line) not in seen)
-
     # Dedup (multiple patterns on one line) and apply tag suppression.
     uniq = {}
     for f in findings:
@@ -605,9 +543,6 @@ def main(argv=None) -> int:
                                  description=__doc__.splitlines()[0])
     ap.add_argument("--strict", action="store_true",
                     help="also fail on stale baseline entries")
-    ap.add_argument("--engine", choices=("auto", "regex"), default="auto",
-                    help="auto = libclang precision layer when importable; "
-                         "regex = token fallback only")
     ap.add_argument("--baseline", default=None,
                     help="baseline file (default tools/lint_baseline.txt)")
     ap.add_argument("--list-rules", action="store_true")
@@ -625,9 +560,6 @@ def main(argv=None) -> int:
                                                   "lint_baseline.txt")
     baseline, errors = load_baseline(baseline_path)
 
-    clang_ctx = try_clang_index() if args.engine == "auto" else None
-    engine = "clang" if clang_ctx else "regex"
-
     all_findings = []
     nfiles = 0
     for abspath in iter_sources(root, args.paths):
@@ -639,8 +571,7 @@ def main(argv=None) -> int:
         except OSError as e:
             errors.append(f"{relpath}: unreadable: {e}")
             continue
-        fs = scan_text(relpath, text, engine=engine, clang_ctx=clang_ctx,
-                       abspath=abspath)
+        fs = scan_text(relpath, text)
         errors.extend(fs.errors)
         for f in fs.findings:
             if not f.suppressed_by:
@@ -666,7 +597,7 @@ def main(argv=None) -> int:
 
     suppressed = len(all_findings) - len(active)
     failed = bool(active or errors or (args.strict and stale))
-    print(f"hc3i-lint[{engine}]: {nfiles} files, "
+    print(f"hc3i-lint: {nfiles} files, "
           f"{len(active)} finding(s), {suppressed} suppressed "
           f"({len(baseline)} baseline entr{'y' if len(baseline) == 1 else 'ies'}), "
           f"{len(errors)} error(s){', FAILED' if failed else ''}")
