@@ -6,13 +6,14 @@
 //              [--seed=1]
 //              [--protocol=hc3i|independent|coordinated-global|
 //                          pessimistic-log|hierarchical-coordinated]
-//              [--failures] [--campaign=<campaign.conf>]
+//              [--campaign=<campaign.conf>]
 //              [--trace=stats|protocol] [--dump-counters]
 //              [--trace-out=<trace.json>] [--metrics-out=<metrics.tsv>]
 //              [--metrics-interval=<dur>]
 //
 // --campaign loads a declarative fault plan (see config/parser.hpp for the
-// file format); the run report then includes the per-incident recovery
+// file format: scripted kills, MTBF streams, bursts, repeat offenders and
+// phase triggers); the run report then includes the per-incident recovery
 // telemetry table.  A plan whose same-cluster kill queue cannot drain before
 // the application's total_time is rejected (exit 2, injector named).
 //
@@ -35,7 +36,15 @@
 // three files, a striped-remote storage variant of the topology, and the
 // reference (faulty.campaign) and overlapping-burst (overlap.campaign) fault
 // plans; the scale goldens bench/golden_counters_scale*.txt are its
-// --dump-counters output.
+// --dump-counters output.  The other committed scenarios:
+//
+//   configs/small     2x8 for 1 h; --campaign=configs/small/quickstart.campaign
+//                     kills node 4 at 12 min (the five-minute tour)
+//   configs/recovery  3x4 for 1 h; --campaign=configs/recovery/kill.campaign
+//                     --seed=7 --trace=protocol shows cluster 1's rollback
+//                     alerts forcing clusters 0 and 2 back (paper §4)
+//   configs/pipeline  the paper's Fig. 1 code-coupling pipeline: simulation
+//                     -> treatment -> display on three 32-node clusters
 
 #include <cstdio>
 
@@ -52,8 +61,8 @@ using namespace hc3i;
 int main(int argc, char** argv) {
   const Flags flags = Flags::parse(argc, argv);
   if (const std::string unknown = flags.unknown_flag(
-          {"seed", "protocol", "failures", "campaign", "trace",
-           "dump-counters", "trace-out", "metrics-out", "metrics-interval"});
+          {"seed", "protocol", "campaign", "trace", "dump-counters",
+           "trace-out", "metrics-out", "metrics-interval"});
       !unknown.empty()) {
     std::fprintf(stderr, "hc3i_sim: %s\n", unknown.c_str());
     return 2;
@@ -61,7 +70,7 @@ int main(int argc, char** argv) {
   if (flags.positional().size() != 3) {
     std::fprintf(stderr,
                  "usage: hc3i_sim <topology.conf> <application.conf> "
-                 "<timers.conf> [--seed=N] [--protocol=...] [--failures] "
+                 "<timers.conf> [--seed=N] [--protocol=...] "
                  "[--campaign=<file>] [--trace=...] [--dump-counters] "
                  "[--trace-out=<f>] [--metrics-out=<f>] "
                  "[--metrics-interval=<dur>]\n");
@@ -82,7 +91,6 @@ int main(int argc, char** argv) {
     const auto protocol = driver::parse_protocol(protocol_name);
     HC3I_CHECK(protocol.has_value(), "unknown --protocol: " + protocol_name);
     opts.protocol = *protocol;
-    opts.auto_failures = flags.get_bool("failures", false);
     const std::string campaign_path = flags.get("campaign", "");
     if (!campaign_path.empty()) {
       opts.campaign = config::parse_campaign(

@@ -61,7 +61,6 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
   os << "\n== fault tolerance ==\n";
   os << "failures injected        : " << result.counter("fault.injected")
      << " (skipped mid-recovery: " << result.counter("fault.skipped_overlap")
-     << ", deferred: " << result.counter("fault.deferred")
      << ", queued same-cluster: "
      << result.counter("fault.queued_same_cluster")
      << ", dropped at quiesce bound: "

@@ -1,8 +1,9 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
@@ -24,6 +25,17 @@ void check_cluster(ClusterId c, const config::TopologySpec& topo,
              std::string(what) + ": cluster " + std::to_string(c.v) +
                  " out of range (federation has " +
                  std::to_string(topo.cluster_count()) + " clusters)");
+}
+
+// The queue-bound message compares times that can sit a millisecond apart
+// (a kill 1 ms before the bound), which to_string's 0.1 s rounding past a
+// minute would print alike.
+std::string ms_text(SimTime t) {
+  const long long ms = t.ns / 1'000'000;
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%lldh%02lldm%02lld.%03llds", ms / 3'600'000,
+                ms / 60'000 % 60, ms / 1'000 % 60, ms % 1'000);
+  return buf;
 }
 
 }  // namespace
@@ -184,81 +196,82 @@ Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
   return plan;
 }
 
-void check_queue_bounds(const Campaign& plan, const config::RunSpec& spec,
-                        SimTime bound) {
-  const auto& topo = spec.topology;
-  // Estimated recovery service time per cluster: failure detection plus the
-  // state transfer that restores the victim from its neighbour's replica.
-  const auto recovery_estimate = [&](std::uint32_t c) {
-    const auto& san = topo.clusters[c].san;
-    SimTime r = spec.timers.detection_delay + san.latency;
-    if (std::isfinite(san.bytes_per_sec)) {
-      r = r + from_seconds_f(
-                  static_cast<double>(spec.application.state_bytes) /
-                  san.bytes_per_sec);
-    }
-    return r;
-  };
+std::vector<TimedKill> timed_kills(const Campaign& plan,
+                                   const config::TopologySpec& topo,
+                                   SimTime bound) {
+  std::vector<std::uint32_t> first_node(topo.cluster_count() + 1, 0);
+  for (std::size_t c = 0; c < topo.cluster_count(); ++c) {
+    first_node[c + 1] = first_node[c] + topo.clusters[c].nodes;
+  }
   const auto cluster_of = [&](NodeId n) {
-    std::uint32_t c = 0, base = 0;
-    while (base + topo.clusters[c].nodes <= n.v) base += topo.clusters[c++].nodes;
-    return c;
+    const auto next =
+        std::upper_bound(first_node.begin(), first_node.end(), n.v);
+    return ClusterId{static_cast<std::uint32_t>(next - first_node.begin() - 1)};
   };
 
-  struct ScheduledKill {
-    SimTime at{};
-    std::uint32_t cluster{};
-    std::string injector;
-  };
-  std::vector<ScheduledKill> kills;
+  std::vector<TimedKill> kills;
   for (std::size_t i = 0; i < plan.kills.size(); ++i) {
     const KillSpec& k = plan.kills[i];
-    kills.push_back({k.at, cluster_of(k.victim),
-                     "[kill] #" + std::to_string(i + 1)});
+    kills.push_back({k.at, k.victim, cluster_of(k.victim), "scripted", i});
   }
   for (std::size_t i = 0; i < plan.bursts.size(); ++i) {
     const BurstSpec& b = plan.bursts[i];
+    const std::uint32_t size = topo.clusters[b.cluster.v].nodes;
     for (std::uint32_t j = 0; j < b.kills; ++j) {
+      // Kills spaced evenly across [at, at + window]; the cluster's FIFO
+      // serialises whatever lands inside its recovery.
       const SimTime when =
-          b.kills > 1
-              ? SimTime{b.at.ns +
-                        (b.window.ns * static_cast<std::int64_t>(j)) /
-                            (b.kills - 1)}
-              : b.at;
-      kills.push_back({when, b.cluster.v,
-                       "[burst] #" + std::to_string(i + 1) + " (cluster " +
-                           std::to_string(b.cluster.v) + ")"});
+          b.kills > 1 ? SimTime{b.at.ns + (b.window.ns *
+                                           static_cast<std::int64_t>(j)) /
+                                              (b.kills - 1)}
+                      : b.at;
+      const NodeId victim{first_node[b.cluster.v] +
+                          (b.first_victim + j) % size};
+      kills.push_back({when, victim, b.cluster, "burst", i});
     }
   }
   for (std::size_t i = 0; i < plan.repeats.size(); ++i) {
     const RepeatSpec& r = plan.repeats[i];
     for (std::uint32_t j = 0; j < r.times; ++j) {
       const SimTime when = r.first + r.gap * static_cast<std::int64_t>(j);
-      if (when > bound) break;  // the engine clamps these away anyway
-      kills.push_back({when, cluster_of(r.victim),
-                       "[repeat] #" + std::to_string(i + 1)});
+      if (when > bound) break;  // clamp occurrences past the quiesce bound
+      kills.push_back({when, r.victim, cluster_of(r.victim), "repeat", i});
     }
   }
+  return kills;
+}
+
+void check_queue_bounds(const Campaign& plan, const config::RunSpec& spec,
+                        SimTime bound) {
+  std::vector<TimedKill> kills = timed_kills(plan, spec.topology, bound);
   std::stable_sort(kills.begin(), kills.end(),
-                   [](const ScheduledKill& a, const ScheduledKill& b) {
+                   [](const TimedKill& a, const TimedKill& b) {
                      return a.at < b.at;
                    });
 
   // Walk each cluster's kill sequence through a FIFO server: a kill starts
-  // when both its scheduled time and the previous recovery allow it.
-  std::vector<SimTime> busy_until(topo.cluster_count(), SimTime::zero());
-  for (const ScheduledKill& k : kills) {
-    const SimTime start = std::max(k.at, busy_until[k.cluster]);
+  // when both its scheduled time and the previous recovery allow it.  The
+  // service time is failure detection plus the state transfer that restores
+  // the victim from its neighbour's replica.
+  std::vector<SimTime> busy_until(spec.topology.cluster_count(),
+                                  SimTime::zero());
+  for (const TimedKill& k : kills) {
+    const SimTime recovery = spec.timers.detection_delay +
+                             config::state_transfer_time(spec, k.cluster);
+    const SimTime start = std::max(k.at, busy_until[k.cluster.v]);
+    // Name the injector by its campaign-file section.
+    const std::string_view source = k.source;
     HC3I_CHECK(
         start <= bound,
-        "campaign " + k.injector + ": kill scheduled at " + to_string(k.at) +
-            " queues behind cluster " + std::to_string(k.cluster) +
-            "'s earlier recoveries until " + to_string(start) +
-            ", past the quiesce bound " + to_string(bound) +
+        "campaign [" + std::string(source == "scripted" ? "kill" : source) +
+            "] #" + std::to_string(k.injector + 1) + ": kill scheduled at " +
+            ms_text(k.at) + " queues behind cluster " +
+            std::to_string(k.cluster.v) + "'s earlier recoveries until " +
+            ms_text(start) + ", past the quiesce bound " + ms_text(bound) +
             " — the same-cluster queue cannot drain (estimated recovery " +
-            to_string(recovery_estimate(k.cluster)) +
+            to_string(recovery) +
             "; widen the burst window or thin the kills)");
-    busy_until[k.cluster] = start + recovery_estimate(k.cluster);
+    busy_until[k.cluster.v] = start + recovery;
   }
 }
 

@@ -74,7 +74,7 @@ struct BurstSpec {
 
 /// Repeat offender: the same node fails `times` times — first at `first`,
 /// then every `gap`.  Occurrences that would land past the quiesce bound are
-/// clamped away; mid-recovery occurrences are deferred like burst kills.
+/// clamped away; mid-recovery occurrences queue like any timed kill.
 struct RepeatSpec {
   NodeId victim{};
   std::uint32_t times{2};
@@ -165,14 +165,33 @@ Campaign reference_scale_campaign(std::size_t clusters, std::uint32_t nodes,
 Campaign reference_overlap_campaign(std::size_t clusters, std::uint32_t nodes,
                                     SimTime total);
 
+/// One time-scheduled kill: a [kill], one kill of a [burst], or one
+/// occurrence of a [repeat].
+struct TimedKill {
+  SimTime at{};
+  NodeId victim{};
+  ClusterId cluster{};      ///< the victim's cluster
+  const char* source{""};   ///< "scripted", "burst" or "repeat"
+  std::size_t injector{0};  ///< 0-based index within its section
+};
+
+/// Expand every time-scheduled injector of `plan` in campaign order: the
+/// kills, then each burst's kills (spaced evenly across its window, victims
+/// in local order from `first_victim`), then each repeat's occurrences up
+/// to `bound` (later ones are clamped away).  Streams and phase triggers
+/// have no static schedule.  The engine schedules this list as is;
+/// check_queue_bounds walks it in time order.
+std::vector<TimedKill> timed_kills(const Campaign& plan,
+                                   const config::TopologySpec& topo,
+                                   SimTime bound);
+
 /// Reject campaigns whose scheduled kills pile into a same-cluster queue
 /// that cannot drain before the quiesce bound (an effectively unbounded
 /// queue: every queued kill past the bound is dropped en masse).  Models
 /// each cluster's recovery as a FIFO server with an estimated service time
-/// of detection delay + SAN latency + state transfer, walks every
-/// time-scheduled kill (scripted, burst, repeat — streams and phase
-/// triggers have no static schedule) and throws CheckFailure naming the
-/// offending injector when a queued kill could not fire before `bound`.
+/// of detection delay + config::state_transfer_time, walks timed_kills()
+/// in time order and throws CheckFailure naming the offending injector when
+/// a queued kill could not fire before `bound`.
 void check_queue_bounds(const Campaign& plan, const config::RunSpec& spec,
                         SimTime bound);
 

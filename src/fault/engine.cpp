@@ -46,22 +46,18 @@ void CampaignEngine::arm() {
   // than this leaves the recovery (and, for message-logging protocols, the
   // replay of lost work) no runway before strict validation, so pre-failure
   // sends would be audited as ghosts.  Reject loudly instead of producing a
-  // run whose violations blame the protocol.
-  for (const KillSpec& k : plan_.kills) {
+  // run whose violations blame the protocol.  (Repeat occurrences past the
+  // bound are clamped away instead.)
+  const std::vector<TimedKill> kills =
+      timed_kills(plan_, fed_.spec().topology, bound_);
+  for (const TimedKill& k : kills) {
     HC3I_CHECK(k.at <= bound_,
-               "campaign kill of node " + std::to_string(k.victim.v) +
-                   " at " + to_string(k.at) +
+               std::string("campaign ") + k.source + " kill of node " +
+                   std::to_string(k.victim.v) + " at " + to_string(k.at) +
                    " lands past the failure quiesce bound " +
                    to_string(bound_) +
                    ": recovery could not settle before validation "
                    "(move the kill earlier or extend the horizon)");
-  }
-  for (const BurstSpec& b : plan_.bursts) {
-    const SimTime last = b.kills > 1 ? b.at + b.window : b.at;
-    HC3I_CHECK(last <= bound_,
-               "campaign burst in cluster " + std::to_string(b.cluster.v) +
-                   " ends at " + to_string(last) +
-                   ", past the failure quiesce bound " + to_string(bound_));
   }
 
   fed_.set_recovery_listener([this](ClusterId c) { on_recovery(c); });
@@ -81,42 +77,13 @@ void CampaignEngine::arm() {
     }
   }
 
-  for (const KillSpec& k : plan_.kills) {
-    sim().schedule_at(k.at, [this, k] {
-      // A scripted kill into a recovering cluster is a deliberate
-      // kill-during-recovery — queue it rather than drop it.
-      inject_or_queue(k.victim, "scripted", "fault.queued_same_cluster");
+  // Scripted, burst and repeat kills in campaign order; a kill into a
+  // recovering cluster is a deliberate kill-during-recovery — it queues
+  // rather than drops.
+  for (const TimedKill& k : kills) {
+    sim().schedule_at(k.at, [this, victim = k.victim, source = k.source] {
+      inject_or_queue(victim, source);
     });
-  }
-
-  const net::Topology& topo = fed_.topology();
-  for (const BurstSpec& b : plan_.bursts) {
-    const std::uint32_t size = topo.cluster_size(b.cluster);
-    const NodeId base = topo.first_node(b.cluster);
-    for (std::uint32_t j = 0; j < b.kills; ++j) {
-      // Kills spaced evenly across [at, at + window]; the cluster's FIFO
-      // serialises whatever lands inside its recovery.
-      const SimTime when =
-          b.kills > 1 ? SimTime{b.at.ns + (b.window.ns *
-                                           static_cast<std::int64_t>(j)) /
-                                              (b.kills - 1)}
-                      : b.at;
-      const NodeId victim{base.v + (b.first_victim + j) % size};
-      sim().schedule_at(when, [this, victim] {
-        inject_or_queue(victim, "burst", "fault.deferred");
-      });
-    }
-  }
-
-  for (const RepeatSpec& r : plan_.repeats) {
-    for (std::uint32_t j = 0; j < r.times; ++j) {
-      const SimTime when = r.first + r.gap * static_cast<std::int64_t>(j);
-      if (when > bound_) break;  // clamp occurrences past the quiesce bound
-      const NodeId victim = r.victim;
-      sim().schedule_at(when, [this, victim] {
-        inject_or_queue(victim, "repeat", "fault.deferred");
-      });
-    }
   }
 
   triggers_.reserve(plan_.phase_triggers.size());
@@ -141,8 +108,7 @@ void CampaignEngine::inject(NodeId victim, const char* source) {
   fed_.inject_failure(victim);
 }
 
-void CampaignEngine::inject_or_queue(NodeId victim, const char* source,
-                                     const char* counter) {
+void CampaignEngine::inject_or_queue(NodeId victim, const char* source) {
   if (sim().now() > bound_) {
     // A queue drained this kill past the quiesce bound (arm() only checks
     // the *scheduled* times): injecting now would leave the recovery — and
@@ -154,8 +120,8 @@ void CampaignEngine::inject_or_queue(NodeId victim, const char* source,
   }
   const ClusterId c = cluster_of(victim);
   if (fed_.recovery_pending(c)) {
-    cluster_queue_[c.v].push_back(PendingKill{victim, source, counter});
-    fed_.registry().counter(counter).inc();
+    cluster_queue_[c.v].push_back(PendingKill{victim, source});
+    fed_.registry().counter("fault.queued_same_cluster").inc();
     return;
   }
   inject(victim, source);
@@ -276,7 +242,7 @@ void CampaignEngine::on_recovery(ClusterId cluster) {
     const PendingKill k = queue.front();
     queue.erase(queue.begin());
     sim().schedule_after(SimTime::zero(), [this, k] {
-      inject_or_queue(k.victim, k.source, k.counter);
+      inject_or_queue(k.victim, k.source);
     });
     return;
   }

@@ -10,8 +10,8 @@
 //
 //   * a kill aimed at a cluster that is already recovering queues on that
 //     cluster's FIFO and fires the instant *that cluster's* recovery
-//     completes (scripted kills count `fault.queued_same_cluster`,
-//     burst/repeat kills count `fault.deferred`);
+//     completes (every queued scripted, burst or repeat kill counts
+//     `fault.queued_same_cluster`);
 //   * per-cluster streams block — without consuming a draw — while their
 //     own cluster recovers, and redraw at its completion; federation-wide
 //     streams draw the victim first and block on the victim's cluster;
@@ -87,7 +87,6 @@ class CampaignEngine final : public core::ProtocolObserver {
   struct PendingKill {
     NodeId victim{};
     const char* source{""};
-    const char* counter{""};  ///< stat bumped each time the kill queues
   };
 
   sim::Simulation& sim() { return fed_.simulation(); }
@@ -98,9 +97,9 @@ class CampaignEngine final : public core::ProtocolObserver {
   /// Inject now (caller ensured the victim's cluster is clear) and open the
   /// incident record.
   void inject(NodeId victim, const char* source);
-  /// Inject, or queue on the victim's cluster FIFO, bumping `counter` each
-  /// time it queues.
-  void inject_or_queue(NodeId victim, const char* source, const char* counter);
+  /// Inject, or queue on the victim's cluster FIFO, bumping
+  /// `fault.queued_same_cluster` each time it queues.
+  void inject_or_queue(NodeId victim, const char* source);
   /// Inject, or drop with `fault.skipped_overlap` iff the victim's *own*
   /// cluster is recovering (phase triggers).
   void inject_or_skip(NodeId victim, const char* source);

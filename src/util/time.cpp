@@ -25,11 +25,14 @@ std::size_t format_time(SimTime t, char* buf, std::size_t cap) {
     n = std::snprintf(buf, cap, "0");
   } else if (ns < 1'000) {
     n = std::snprintf(buf, cap, "%lldns", static_cast<long long>(ns));
-  } else if (ns < 1'000'000) {
+  } else if (ns < 999'500) {
+    // Each sub-minute unit ends where its printed digits would round up to
+    // the next unit's first value (999.5us is "1e+03us" at three digits),
+    // so that value prints in the next unit instead.
     n = std::snprintf(buf, cap, "%.3gus", static_cast<double>(ns) / 1e3);
-  } else if (ns < 1'000'000'000) {
+  } else if (ns < 999'500'000) {
     n = std::snprintf(buf, cap, "%.3gms", static_cast<double>(ns) / 1e6);
-  } else if (ns < 60LL * 1'000'000'000) {
+  } else if (ns < 59'995'000'000) {
     n = std::snprintf(buf, cap, "%.4gs", static_cast<double>(ns) / 1e9);
   } else {
     // Round to the printed 0.1 s first, so 59.96 s carries into the minute

@@ -280,6 +280,38 @@ TEST(Presets, SmallSpecValidates) {
 // must equal config::write_* of the preset it was written from, so a preset
 // that changes without its files fails here, not in a golden diff; a file
 // with no preset listed here fails too.
+/// The paper's motivating code-coupling application (Fig. 1): simulation
+/// -> treatment -> display stages pinned to three 32-node clusters with
+/// pipelined inter-cluster traffic, 10 h under 30-min CLC timers.
+RunSpec pipeline_spec() {
+  RunSpec spec;
+  const LinkSpec san{microseconds(10), 80e6 / 8};
+  const LinkSpec wan{microseconds(150), 100e6 / 8};
+  spec.topology.clusters.assign(3, ClusterSpec{32, san});
+  spec.topology.inter.assign(3, std::vector<LinkSpec>(3));
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      if (i != j) spec.topology.inter[i][j] = wan;
+    }
+  }
+  spec.application.total_time = hours(10);
+  spec.application.state_bytes = 8ull * 1024 * 1024;
+  // The simulation stage computes hard and streams results downstream;
+  // treatment relays; display only consumes.
+  spec.application.clusters = {{minutes(2), 64 * 1024, {0.92, 0.08, 0.0}},
+                               {minutes(3), 32 * 1024, {0.0, 0.90, 0.10}},
+                               {minutes(4), 16 * 1024, {0.0, 0.0, 1.0}}};
+  spec.timers.clusters.assign(3, ClusterTimerSpec{minutes(30)});
+  spec.timers.gc_period = hours(2);
+  return spec;
+}
+
+fault::Campaign one_kill(SimTime at, NodeId victim) {
+  fault::Campaign plan;
+  plan.kills.push_back(fault::KillSpec{at, victim});
+  return plan;
+}
+
 TEST(CommittedConfigs, MatchTheirPresets) {
   RunSpec small = small_test_spec(2, 8);
   small.application.total_time = hours(1);
@@ -290,6 +322,15 @@ TEST(CommittedConfigs, MatchTheirPresets) {
   burst.at = small.application.total_time - milliseconds(1);
   burst.window = SimTime::zero();
   undrainable.bursts.push_back(burst);
+
+  // Three small clusters whose seed-7 run cascades one fault into three
+  // cluster rollbacks.
+  RunSpec recovery = small_test_spec(3, 4);
+  recovery.application.total_time = hours(1);
+  for (ClusterTimerSpec& t : recovery.timers.clusters) {
+    t.clc_period = minutes(10);
+  }
+  const RunSpec pipeline = pipeline_spec();
 
   const RunSpec scale = scale_federation_spec(10, 100, minutes(30));
   TopologySpec scale_storage = scale.topology;
@@ -307,6 +348,16 @@ TEST(CommittedConfigs, MatchTheirPresets) {
       {"small/application.conf", write_application(small.application)},
       {"small/timers.conf", write_timers(small.timers)},
       {"small/undrainable.campaign", write_campaign(undrainable)},
+      {"small/quickstart.campaign",
+       write_campaign(one_kill(minutes(12), NodeId{4}))},
+      {"recovery/topology.conf", write_topology(recovery.topology)},
+      {"recovery/application.conf", write_application(recovery.application)},
+      {"recovery/timers.conf", write_timers(recovery.timers)},
+      {"recovery/kill.campaign",
+       write_campaign(one_kill(minutes(35), NodeId{5}))},
+      {"pipeline/topology.conf", write_topology(pipeline.topology)},
+      {"pipeline/application.conf", write_application(pipeline.application)},
+      {"pipeline/timers.conf", write_timers(pipeline.timers)},
       {"scale/topology.conf", write_topology(scale.topology)},
       {"scale/topology_storage.conf", write_topology(scale_storage)},
       {"scale/application.conf", write_application(scale.application)},
@@ -320,9 +371,10 @@ TEST(CommittedConfigs, MatchTheirPresets) {
   const std::filesystem::path root =
       std::filesystem::path(HC3I_SOURCE_DIR) / "configs";
   std::set<std::string> on_disk, listed;
-  for (const char* dir : {"paper", "small", "scale"}) {
-    for (const auto& entry : std::filesystem::directory_iterator(root / dir)) {
-      on_disk.insert(std::string(dir) + "/" + entry.path().filename().string());
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file()) {
+      on_disk.insert(entry.path().lexically_relative(root).generic_string());
     }
   }
   for (const auto& [name, text] : expected) {

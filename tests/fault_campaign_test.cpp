@@ -388,7 +388,7 @@ TEST(Campaign, DeferredKillPushedPastBoundIsDroppedNotInjected) {
   opts.campaign.bursts.push_back(burst);
   const auto result = driver::run_simulation(opts);
   EXPECT_EQ(result.counter("fault.injected"), 1u);
-  EXPECT_EQ(result.counter("fault.deferred"), 1u);
+  EXPECT_EQ(result.counter("fault.queued_same_cluster"), 1u);
   EXPECT_EQ(result.counter("fault.skipped_quiesce"), 1u);
   EXPECT_TRUE(result.violations.empty());
 }

@@ -316,6 +316,11 @@ TEST(FaultOverlap, QueueBoundCheckNamesTheInjector) {
     const std::string what = e.what();
     EXPECT_NE(what.find("[burst] #1"), std::string::npos) << what;
     EXPECT_NE(what.find("queues behind cluster 1"), std::string::npos) << what;
+    // The kill and the bound sit 1 ms apart and print apart.
+    EXPECT_NE(what.find("scheduled at 0h29m59.999s"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("quiesce bound 0h30m00.000s"), std::string::npos)
+        << what;
   }
 
   // The reference overlap campaign itself is well-formed.

@@ -348,9 +348,9 @@ driver::RunOptions obs_opts() {
   return opts;
 }
 
-/// examples/failure_recovery's scenario: 3 clusters of 4 nodes for 1 h,
-/// node 5 (cluster 1) killed at 35 min.  Seed 7 cascades: cluster 1's
-/// rollback alerts force clusters 0 and 2 back too.
+/// The configs/recovery/ scenario: 3 clusters of 4 nodes for 1 h, node 5
+/// (cluster 1) killed at 35 min.  Seed 7 cascades: cluster 1's rollback
+/// alerts force clusters 0 and 2 back too.
 driver::RunOptions failure_recovery_opts(driver::ProtocolKind protocol) {
   driver::RunOptions opts;
   opts.spec = config::small_test_spec(3, 4);

@@ -89,6 +89,16 @@ TEST(FormatTime, RoundingCarriesIntoMinutesAndHours) {
             "1m59.9s");
 }
 
+TEST(FormatTime, RoundingSwitchesToTheNextUnit) {
+  EXPECT_EQ(to_string(milliseconds(59'999)), "1m00.0s");
+  EXPECT_EQ(to_string(microseconds(999'999)), "1s");
+  EXPECT_EQ(to_string(nanoseconds(999'999)), "1ms");
+  // The last values that still print in their own unit.
+  EXPECT_EQ(to_string(milliseconds(59'994)), "59.99s");
+  EXPECT_EQ(to_string(microseconds(999'499)), "999ms");
+  EXPECT_EQ(to_string(nanoseconds(999'499)), "999us");
+}
+
 // ---------------------------------------------------------------------------
 // RngStream
 // ---------------------------------------------------------------------------
