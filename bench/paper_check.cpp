@@ -604,13 +604,19 @@ Outcome evaluate(const Cell& c, Runner& runner) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
-  if (const std::string unknown = flags.unknown_flag({}); !unknown.empty()) {
-    std::fprintf(stderr, "%s\n", unknown.c_str());
-    return 2;
-  }
-  if (!flags.positional().empty()) {
-    std::fprintf(stderr, "paper_check takes no arguments\n");
+  try {
+    const Flags flags = Flags::parse(argc, argv);
+    if (const std::string unknown = flags.unknown_flag({});
+        !unknown.empty()) {
+      std::fprintf(stderr, "%s\n", unknown.c_str());
+      return 2;
+    }
+    if (!flags.positional().empty()) {
+      std::fprintf(stderr, "paper_check takes no arguments\n");
+      return 2;
+    }
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "paper_check: %s\n", e.what());
     return 2;
   }
 

@@ -59,24 +59,24 @@
 using namespace hc3i;
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::parse(argc, argv);
-  if (const std::string unknown = flags.unknown_flag(
-          {"seed", "protocol", "campaign", "trace", "dump-counters",
-           "trace-out", "metrics-out", "metrics-interval"});
-      !unknown.empty()) {
-    std::fprintf(stderr, "hc3i_sim: %s\n", unknown.c_str());
-    return 2;
-  }
-  if (flags.positional().size() != 3) {
-    std::fprintf(stderr,
-                 "usage: hc3i_sim <topology.conf> <application.conf> "
-                 "<timers.conf> [--seed=N] [--protocol=...] "
-                 "[--campaign=<file>] [--trace=...] [--dump-counters] "
-                 "[--trace-out=<f>] [--metrics-out=<f>] "
-                 "[--metrics-interval=<dur>]\n");
-    return 2;
-  }
   try {
+    const Flags flags = Flags::parse(argc, argv);
+    if (const std::string unknown = flags.unknown_flag(
+            {"seed", "protocol", "campaign", "trace", "dump-counters",
+             "trace-out", "metrics-out", "metrics-interval"});
+        !unknown.empty()) {
+      std::fprintf(stderr, "hc3i_sim: %s\n", unknown.c_str());
+      return 2;
+    }
+    if (flags.positional().size() != 3) {
+      std::fprintf(stderr,
+                   "usage: hc3i_sim <topology.conf> <application.conf> "
+                   "<timers.conf> [--seed=N] [--protocol=...] "
+                   "[--campaign=<file>] [--trace=...] [--dump-counters] "
+                   "[--trace-out=<f>] [--metrics-out=<f>] "
+                   "[--metrics-interval=<dur>]\n");
+      return 2;
+    }
     const std::string trace = flags.get("trace", "stats");
     HC3I_CHECK(trace == "stats" || trace == "protocol",
                "unknown --trace: " + trace + " (stats|protocol)");
@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
     opts.spec = config::load_run_spec(flags.positional()[0],
                                       flags.positional()[1],
                                       flags.positional()[2]);
-    opts.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    opts.seed =
+        static_cast<std::uint64_t>(flags.get_int("seed", 1, 0, INT64_MAX));
     const std::string protocol_name = flags.get("protocol", "hc3i");
     const auto protocol = driver::parse_protocol(protocol_name);
     HC3I_CHECK(protocol.has_value(), "unknown --protocol: " + protocol_name);

@@ -82,7 +82,7 @@ std::string BatchReport::render_table() const {
     double lost_work_s{0.0}, latency_s{0.0};
     std::size_t latency_runs{0};
     std::uint64_t pairs{0}, max_clcs{0}, gc_saved_bytes{0};
-    std::uint64_t ckpt_bytes{0}, ckpt_stall_us{0};
+    std::uint64_t ckpt_bytes{0}, ckpt_stall_us{0}, recovery_read_us{0};
     std::size_t failed{0};
   };
   // The storage columns (and the per-cell split by storage point) appear
@@ -121,21 +121,25 @@ std::string BatchReport::render_table() const {
     cell->gc_saved_bytes += c.gc_saved_bytes;
     cell->ckpt_bytes += c.ckpt_bytes;
     cell->ckpt_stall_us += c.ckpt_stall_us;
+    cell->recovery_read_us += c.recovery_read_us;
     if (!c.ok) ++cell->failed;
   }
 
   std::string out;
   appendf(&out, "%-16s %-10s ", "topology", "campaign");
-  if (any_storage) appendf(&out, "%-12s ", "storage");
+  if (any_storage) appendf(&out, "%-24s ", "storage");
   appendf(&out, "%5s %12s %11s %7s %7s %7s %7s %7s %9s %7s %6s %8s %11s ",
           "runs", "events", "ev/s", "clcs", "faults", "rb", "fanout",
           "replay", "lost_s", "lat_ms", "pairs", "max_clcs", "gc_saved_B");
-  if (any_storage) appendf(&out, "%12s %9s ", "ckpt bytes", "stall s");
+  if (any_storage) {
+    appendf(&out, "%12s %9s %9s %9s ", "ckpt bytes", "stall s", "read s",
+            "cost s");
+  }
   appendf(&out, "%6s\n", "fail");
   for (const auto& [key, cell] : cells) {
     appendf(&out, "%-16s %-10s ", key.topology.c_str(), key.campaign.c_str());
     if (any_storage) {
-      appendf(&out, "%-12s ",
+      appendf(&out, "%-24s ",
               key.storage.empty() ? "off" : key.storage.c_str());
     }
     appendf(&out,
@@ -156,9 +160,11 @@ std::string BatchReport::render_table() const {
             static_cast<unsigned long long>(cell.max_clcs),
             static_cast<unsigned long long>(cell.gc_saved_bytes));
     if (any_storage) {
-      appendf(&out, "%12llu %9.2f ",
-              static_cast<unsigned long long>(cell.ckpt_bytes),
-              static_cast<double>(cell.ckpt_stall_us) * 1e-6);
+      const double stall_s = static_cast<double>(cell.ckpt_stall_us) * 1e-6;
+      const double read_s = static_cast<double>(cell.recovery_read_us) * 1e-6;
+      appendf(&out, "%12llu %9.2f %9.2f %9.1f ",
+              static_cast<unsigned long long>(cell.ckpt_bytes), stall_s,
+              read_s, stall_s + read_s + cell.lost_work_s);
     }
     appendf(&out, "%6zu\n", cell.failed);
   }
@@ -239,7 +245,7 @@ std::string BatchReport::to_json() const {
             "\"fanout\": %llu, \"replayed\": %llu, \"lost_work_s\": %.3f, "
             "\"recovery_latency_s\": %.6f, \"pairs\": %llu, "
             "\"max_clcs\": %llu, \"gc_saved_bytes\": %llu, "
-            "\"wall_sec\": %.6f%s%s%s}%s\n",
+            "\"digest\": \"%016llx\", \"wall_sec\": %.6f%s%s%s}%s\n",
             json_escape(c.topology).c_str(), json_escape(c.campaign).c_str(),
             storage_fields.c_str(),
             static_cast<unsigned long long>(c.seed), c.ok ? "true" : "false",
@@ -252,7 +258,8 @@ std::string BatchReport::to_json() const {
             static_cast<unsigned long long>(c.replayed), c.lost_work_s,
             c.recovery_latency_s, static_cast<unsigned long long>(c.pairs),
             static_cast<unsigned long long>(c.max_clcs),
-            static_cast<unsigned long long>(c.gc_saved_bytes), c.wall_sec,
+            static_cast<unsigned long long>(c.gc_saved_bytes),
+            static_cast<unsigned long long>(c.digest), c.wall_sec,
             c.error.empty() ? "" : ", \"error\": \"",
             c.error.empty() ? "" : json_escape(c.error).c_str(),
             c.error.empty() ? "" : "\"", i + 1 < cases.size() ? "," : "");

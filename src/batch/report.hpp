@@ -41,6 +41,10 @@ struct CaseResult {
   std::uint64_t gc_saved_bytes{0};  ///< GC response bytes the delta saved
   double wall_sec{0.0};
 
+  /// 64-bit FNV-1a of the run's full registry dump, the string `dump`
+  /// keeps: equal digests across processes and shard counts are the sweep
+  /// CLI's determinism check.
+  std::uint64_t digest{0};
   /// Full registry dump (RunnerOptions::keep_dumps only): byte-identical to
   /// the --dump-counters output of a solo run of the same (spec, seed).
   std::string dump;
@@ -65,12 +69,14 @@ struct BatchReport {
   std::size_t failures() const;  ///< cases with violations or an error
   double runs_per_min() const;
 
-  /// Human-readable aggregate: one row per (topology, campaign) cell plus a
-  /// throughput footer.
+  /// Human-readable aggregate: one row per (topology, campaign, storage)
+  /// cell plus a throughput footer.  With the storage axis active, the
+  /// storage columns add ckpt bytes, stall s, read s and cost s (stall +
+  /// read + lost work), the sum an optimal checkpoint interval minimises.
   std::string render_table() const;
 
   /// Machine-readable form: aggregate header, per-worker stats, and one
-  /// object per case (without the counter dumps).
+  /// object per case (its dump's digest, not the dump).
   std::string to_json() const;
 };
 

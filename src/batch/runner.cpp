@@ -9,6 +9,7 @@
 #include "driver/run.hpp"
 #include "driver/sim_context.hpp"
 #include "obs/export.hpp"
+#include "stats/registry.hpp"
 #include "util/walltime.hpp"
 
 namespace hc3i::batch {
@@ -77,7 +78,9 @@ CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
         cr.gc_saved_bytes += result.counter(name);
       }
     }
-    if (ropts.keep_dumps) cr.dump = result.registry.dump();
+    std::string dump = result.registry.dump();
+    cr.digest = stats::fnv1a(dump);
+    if (ropts.keep_dumps) cr.dump = std::move(dump);
     cr.ok = cr.violations == 0 && cr.error.empty();
   } catch (const std::exception& e) {
     cr.ok = false;

@@ -29,7 +29,8 @@ struct RunnerOptions {
   /// Worker thread count; 0 = one per hardware thread.
   std::size_t threads{0};
   /// Retain each run's full counter dump in its CaseResult (the
-  /// shard-isolation tests and the determinism grid byte-compare these).
+  /// shard-isolation tests byte-compare these; every case reports the
+  /// dump's digest either way).
   bool keep_dumps{false};
   /// When non-empty, every case runs with the structured trace on and
   /// writes `<obs_dir>/case<index>.trace.json` (plus

@@ -220,8 +220,7 @@ std::uint64_t want_uint(const Section& sec, const std::string& origin,
   return opt(sec, key, def, need_uint, origin);
 }
 
-}  // namespace
-
+/// Split "a,b,c" into its non-empty tokens.
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -235,6 +234,8 @@ std::vector<std::string> split_list(const std::string& text) {
   }
   return out;
 }
+
+}  // namespace
 
 CampaignPoint parse_campaign_token(const std::string& token,
                                    const std::string& origin) {

@@ -131,12 +131,11 @@ CampaignPoint overlap_campaign();
 /// Explicit plan under `name`.
 CampaignPoint explicit_campaign(std::string name, fault::Campaign plan);
 
-/// One campaign-axis token, spelled the same in a sweep file's
-/// `[campaign] kind` and the sweep CLI's --campaigns: none (failure-free),
-/// faulty (the reference campaign), overlap (concurrent per-cluster
-/// recoveries; needs >= 4 clusters) or mtbf:<duration> (one federation-wide
-/// failure stream of that MTBF, named after the token).  Throws
-/// config::ParseError, prefixed with `origin`, on anything else.
+/// One campaign-axis token, a sweep file's `[campaign] kind`: none
+/// (failure-free), faulty (the reference campaign), overlap (concurrent
+/// per-cluster recoveries; needs >= 4 clusters) or mtbf:<duration> (one
+/// federation-wide failure stream of that MTBF, named after the token).
+/// Throws config::ParseError, prefixed with `origin`, on anything else.
 CampaignPoint parse_campaign_token(const std::string& token,
                                    const std::string& origin = "<campaign>");
 
@@ -148,10 +147,10 @@ StoragePoint storage_point(std::string name, config::StorageSpec storage,
 
 // --- the sweep config kind --------------------------------------------------
 
-/// Parse a sweep file (the fourth config kind next to topology /
-/// application / timers / campaign; same INI dialect via
-/// config::parse_sections).  Throws config::ParseError with file/line
-/// context on any problem.
+/// Parse a sweep file (the config kind next to topology / application /
+/// timers / campaign, and the sweep CLI's one input; same INI dialect via
+/// config::parse_sections; the committed grids are configs/sweep/).
+/// Throws config::ParseError with file/line context on any problem.
 ///
 ///   [sweep]               protocol = hc3i     seeds = 1..5
 ///   [topology small2]     preset = small      clusters = 2   nodes = 4
@@ -171,12 +170,8 @@ StoragePoint storage_point(std::string name, config::StorageSpec storage,
 SweepSpec parse_sweep(std::string_view text,
                       const std::string& origin = "<sweep>");
 
-/// Split "a,b,c" into its non-empty tokens (the CLI's list flags).
-std::vector<std::string> split_list(const std::string& text);
-
-/// The seed-list syntax on its own ("lo..hi" or "a,b,c"), shared by the
-/// sweep file's `seeds` key and the CLI's --seeds flag.  Throws
-/// config::ParseError on malformed input.
+/// The seed-list syntax on its own ("lo..hi" or "a,b,c"), the sweep file's
+/// `seeds` key.  Throws config::ParseError on malformed input.
 std::vector<std::uint64_t> parse_seed_list(const std::string& text,
                                            const std::string& origin =
                                                "<seeds>");

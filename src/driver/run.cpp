@@ -74,7 +74,7 @@ RunResult run_simulation(const RunOptions& opts, SimContext& ctx) {
   }
   if (o.protocol == ProtocolKind::kIndependent) {
     // The GC bound of §3.5 assumes the forcing rule; see independent.hpp.
-    o.hc3i.enable_gc = false;
+    o.spec.timers.gc_period = SimTime::infinity();
   }
 
   sim::Simulation sim(o.seed);

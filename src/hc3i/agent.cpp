@@ -98,8 +98,9 @@ void Hc3iAgent::start() {
     coordinator_begin_round(RoundReason::kInitial);
   });
 
-  if (cluster().v == 0 && rt_.options().enable_gc &&
-      !rt_.spec().timers.gc_period.is_infinite()) {
+  // The centralized garbage collector: cluster 0's coordinator, unless the
+  // GC period is infinite.
+  if (cluster().v == 0 && !rt_.spec().timers.gc_period.is_infinite()) {
     gc_timer_ = std::make_unique<sim::Timer>(*ctx_.sim,
                                              rt_.spec().timers.gc_period,
                                              /*periodic=*/true,

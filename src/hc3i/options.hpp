@@ -32,10 +32,6 @@ struct Hc3iOptions {
   /// negative tests to demonstrate that the consistency ledger detects
   /// the resulting message loss.
   bool capture_channel_state{true};
-
-  /// Enable the centralized garbage collector (runs on the coordinator of
-  /// cluster 0 with the configured gc_period).
-  bool enable_gc{true};
 };
 
 }  // namespace hc3i::core

@@ -7,24 +7,11 @@
 
 namespace hc3i::stats {
 namespace detail {
-namespace {
-
-/// FNV-1a over the name bytes; cheap and good enough for metric-name keys.
-std::uint64_t hash_name(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 std::uint32_t NameIndex::find(std::string_view name) const {
   if (slots_.empty()) return kNone;
   const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = hash_name(name) & mask;; i = (i + 1) & mask) {
+  for (std::size_t i = fnv1a(name) & mask;; i = (i + 1) & mask) {
     const std::uint32_t slot = slots_[i];
     if (slot == 0) return kNone;
     if (names_[slot - 1] == name) return slot - 1;
@@ -34,7 +21,7 @@ std::uint32_t NameIndex::find(std::string_view name) const {
 std::uint32_t NameIndex::intern(std::string_view name) {
   if (slots_.empty()) rehash(16);
   std::size_t mask = slots_.size() - 1;
-  std::size_t i = hash_name(name) & mask;
+  std::size_t i = fnv1a(name) & mask;
   for (; slots_[i] != 0; i = (i + 1) & mask) {
     if (names_[slots_[i] - 1] == name) return slots_[i] - 1;
   }
@@ -51,7 +38,7 @@ void NameIndex::rehash(std::size_t capacity) {
   slots_.assign(capacity, 0);
   const std::size_t mask = capacity - 1;
   for (std::uint32_t idx = 0; idx < names_.size(); ++idx) {
-    std::size_t i = hash_name(names_[idx]) & mask;
+    std::size_t i = fnv1a(names_[idx]) & mask;
     while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = idx + 1;
   }

@@ -25,6 +25,17 @@
 
 namespace hc3i::stats {
 
+/// 64-bit FNV-1a of `bytes`: the name-index hash, and the digest the batch
+/// runner reports for each run's dump().
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 /// A single named counter; obtained from Registry::counter() and valid for
 /// the registry's lifetime.
 class Counter {

@@ -1,9 +1,10 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <system_error>
 
 #include "util/check.hpp"
-#include "util/quantity.hpp"
 
 namespace hc3i {
 
@@ -16,7 +17,7 @@ Flags Flags::parse(int argc, const char* const* argv) {
       continue;
     }
     arg.erase(0, 2);
-    HC3I_CHECK(!arg.empty(), "bare '--' is not a valid flag");
+    if (arg.empty()) throw CheckFailure("bare '--' is not a valid flag");
     // Only --name=value and bare --name (boolean) are supported; the
     // space-separated form is ambiguous next to positional arguments.
     const auto eq = arg.find('=');
@@ -34,20 +35,21 @@ std::string Flags::get(const std::string& name, const std::string& def) const {
   return it == values_.end() ? def : it->second;
 }
 
-std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
+std::int64_t Flags::get_int(const std::string& name, std::int64_t def,
+                             std::int64_t lo, std::int64_t hi) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  const auto v = parse_double(it->second);
-  HC3I_CHECK(v.has_value(), "flag --" + name + " is not a number: " + it->second);
-  return static_cast<std::int64_t>(*v);
-}
-
-double Flags::get_double(const std::string& name, double def) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const auto v = parse_double(it->second);
-  HC3I_CHECK(v.has_value(), "flag --" + name + " is not a number: " + it->second);
-  return *v;
+  const std::string& text = it->second;
+  std::int64_t v = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || ptr != text.data() + text.size() || v < lo ||
+      v > hi) {
+    throw CheckFailure("flag --" + name + " wants an integer in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) +
+                       "], got '" + text + "'");
+  }
+  return v;
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,15 +18,17 @@ namespace hc3i {
 /// Parsed command line: flag map plus positional arguments.
 class Flags {
  public:
-  /// Parse argv. Throws CheckFailure on malformed input.
+  /// Parse argv. Throws CheckFailure on malformed input (a bare "--").
   static Flags parse(int argc, const char* const* argv);
 
   /// String flag with default.
   std::string get(const std::string& name, const std::string& def) const;
-  /// Integer flag with default (throws if present but unparsable).
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
-  /// Floating-point flag with default.
-  double get_double(const std::string& name, double def) const;
+  /// Integer flag with default.  Throws CheckFailure if the flag is present
+  /// but not a decimal integer within [lo, hi] ("1.5", "1e30", "-1" for a
+  /// count).
+  std::int64_t get_int(const std::string& name, std::int64_t def,
+                       std::int64_t lo = INT64_MIN,
+                       std::int64_t hi = INT64_MAX) const;
   /// Boolean flag: present (with no value or "true"/"1") => true.
   bool get_bool(const std::string& name, bool def) const;
 

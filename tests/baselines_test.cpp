@@ -34,7 +34,7 @@ TEST(CoordinatedGlobal, FailureFreeRunCheckpoints) {
 
 TEST(CoordinatedGlobal, FailureRollsBackEveryCluster) {
   auto opts = base_opts(driver::ProtocolKind::kCoordinatedGlobal);
-  opts.scripted_failures.push_back({minutes(25), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(25), NodeId{1}});
   const auto result = driver::run_simulation(opts);
   // Both clusters roll back — the cost the paper's hierarchy avoids.
   EXPECT_EQ(result.counter("rollback.count"), 2u);
@@ -65,7 +65,7 @@ TEST(HierarchicalCoordinated, FewerWanControlMessagesThanFlat) {
 
 TEST(HierarchicalCoordinated, RecoversFromFailure) {
   auto opts = base_opts(driver::ProtocolKind::kHierarchicalCoordinated);
-  opts.scripted_failures.push_back({minutes(25), NodeId{4}});
+  opts.campaign.kills.push_back({minutes(25), NodeId{4}});
   const auto result = driver::run_simulation(opts);
   EXPECT_EQ(result.counter("rollback.count"), 2u);  // all clusters
   EXPECT_TRUE(result.violations.empty());
@@ -73,7 +73,7 @@ TEST(HierarchicalCoordinated, RecoversFromFailure) {
 
 TEST(PessimisticLog, OnlyTheFailedNodeRollsBack) {
   auto opts = base_opts(driver::ProtocolKind::kPessimisticLog);
-  opts.scripted_failures.push_back({minutes(25), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(25), NodeId{1}});
   const auto result = driver::run_simulation(opts);
   EXPECT_EQ(result.counter("rollback.count"), 1u);
   EXPECT_EQ(result.counter("app.restores"), 1u);  // exactly one node
@@ -82,7 +82,7 @@ TEST(PessimisticLog, OnlyTheFailedNodeRollsBack) {
 
 TEST(PessimisticLog, ReplaysLoggedDeliveries) {
   auto opts = base_opts(driver::ProtocolKind::kPessimisticLog);
-  opts.scripted_failures.push_back({minutes(37), NodeId{2}});
+  opts.campaign.kills.push_back({minutes(37), NodeId{2}});
   const auto result = driver::run_simulation(opts);
   // The victim had deliveries after its last checkpoint; they must have
   // been replayed from the channel memory.
@@ -151,8 +151,7 @@ TEST(Independent, DominoEffectRollsDeeperThanHc3i) {
 
 TEST(Independent, GcIsRefused) {
   auto opts = base_opts(driver::ProtocolKind::kIndependent);
-  opts.spec.timers.gc_period = minutes(20);
-  opts.hc3i.enable_gc = true;  // the driver must override this
+  opts.spec.timers.gc_period = minutes(20);  // the driver must override this
   const auto result = driver::run_simulation(opts);
   EXPECT_EQ(result.counter("gc.rounds"), 0u);
 }

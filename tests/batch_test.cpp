@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@
 #include "driver/sim_context.hpp"
 #include "fault/campaign.hpp"
 #include "proto/payload_pool.hpp"
+#include "stats/registry.hpp"
 #include "util/check.hpp"
 
 namespace hc3i::testing {
@@ -546,6 +548,37 @@ TEST(BatchReport, CaseColumnsReadTheRunCounters) {
   EXPECT_NE(table.find("gc_saved_B"), std::string::npos) << table;
   EXPECT_NE(table.find("mtbf:2min"), std::string::npos) << table;
   EXPECT_NE(report.to_json().find("\"pairs\": 12,"), std::string::npos);
+}
+
+// Every case reports the FNV-1a digest of its counter dump, kept or not;
+// the JSON carries it as 16 hex digits, so --json runs can be diffed across
+// processes and shard counts without the dumps themselves.
+TEST(BatchReport, JsonDigestIsTheFnv1aOfTheDump) {
+  batch::SweepSpec sweep;
+  sweep.topologies = {batch::small_topology(2, 3)};
+  sweep.campaigns = {batch::no_campaign()};
+  sweep.seeds = {1, 2};
+  batch::RunnerOptions ropts;
+  ropts.threads = 1;
+  ropts.keep_dumps = true;
+  const batch::BatchReport kept = batch::Runner(ropts).run(sweep);
+  ropts.keep_dumps = false;
+  const batch::BatchReport dropped = batch::Runner(ropts).run(sweep);
+  ASSERT_EQ(kept.cases.size(), 2u);
+  const std::string json = kept.to_json();
+  for (std::size_t i = 0; i < kept.cases.size(); ++i) {
+    const batch::CaseResult& c = kept.cases[i];
+    ASSERT_FALSE(c.dump.empty());
+    EXPECT_EQ(c.digest, stats::fnv1a(c.dump));
+    EXPECT_EQ(dropped.cases[i].digest, c.digest);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(c.digest));
+    EXPECT_NE(json.find("\"digest\": \"" + std::string(hex) + "\""),
+              std::string::npos)
+        << json;
+  }
+  EXPECT_NE(kept.cases[0].digest, kept.cases[1].digest);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "batch/sweep.hpp"
 #include "config/parser.hpp"
 #include "config/presets.hpp"
 #include "config/writer.hpp"
@@ -381,7 +382,20 @@ TEST(CommittedConfigs, MatchTheirPresets) {
     listed.insert(name);
     EXPECT_EQ(read_file((root / name).string()), text) << name;
   }
-  EXPECT_EQ(on_disk, listed);
+  // The sweep CLI's grids are hand-written data, not preset renderings:
+  // each must parse and expand into runnable cases.
+  for (const char* name :
+       {"sweep/determinism.sweep", "sweep/determinism_storage.sweep",
+        "sweep/faulty_scaling.sweep", "sweep/mtbf.sweep",
+        "sweep/mtbf_smoke.sweep", "sweep/overlap.sweep",
+        "sweep/scaling.sweep", "sweep/storage.sweep", "sweep/wide.sweep"}) {
+    listed.insert(name);
+    const std::string path = (root / name).string();
+    EXPECT_NO_THROW(EXPECT_FALSE(
+        batch::expand(batch::parse_sweep(read_file(path), path)).empty()))
+        << name;
+  }
+  EXPECT_EQ(on_disk, listed);  // an unlisted file fails here
 }
 
 }  // namespace

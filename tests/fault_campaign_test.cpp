@@ -353,7 +353,7 @@ TEST(Campaign, ScriptedKillPastQuiesceBoundIsRejected) {
   // is rejected up front with a clear CheckFailure.
   auto opts = small_opts(2, 3, hours(1));  // bound = 60 - (10 + 10) = 40min
   opts.protocol = driver::ProtocolKind::kPessimisticLog;
-  opts.scripted_failures.push_back({minutes(50), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(50), NodeId{1}});
   try {
     driver::run_simulation(opts);
     FAIL() << "expected CheckFailure";
@@ -366,7 +366,7 @@ TEST(Campaign, ScriptedKillPastQuiesceBoundIsRejected) {
 TEST(Campaign, ScriptedKillAtQuiesceBoundIsAccepted) {
   auto opts = small_opts(2, 3, hours(1));
   opts.protocol = driver::ProtocolKind::kPessimisticLog;
-  opts.scripted_failures.push_back({minutes(40), NodeId{1}});  // == bound
+  opts.campaign.kills.push_back({minutes(40), NodeId{1}});  // == bound
   const auto result = driver::run_simulation(opts);
   EXPECT_EQ(result.counter("fault.injected"), 1u);
   EXPECT_TRUE(result.violations.empty());

@@ -100,14 +100,6 @@ TEST(Gc, DisabledWhenPeriodInfinite) {
   EXPECT_GE(w.runtime->store(ClusterId{0}).size(), 10u);  // grows unboundedly
 }
 
-TEST(Gc, OptionSwitchDisables) {
-  core::Hc3iOptions opts;
-  opts.enable_gc = false;
-  MiniWorld w(gc_spec(), 1, opts);
-  w.sim.run_until(minutes(30));
-  EXPECT_EQ(w.registry.get("gc.rounds"), 0u);
-}
-
 TEST(Gc, RepeatedRoundsKeepStoreBounded) {
   MiniWorld w(gc_spec(), 1);
   w.sim.run_until(hours(1));

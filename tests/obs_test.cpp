@@ -342,7 +342,7 @@ driver::RunOptions obs_opts() {
   opts.spec = config::small_test_spec(2, 3);
   opts.spec.application.total_time = minutes(30);
   opts.spec.timers.gc_period = minutes(12);
-  opts.scripted_failures.push_back({minutes(20), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(20), NodeId{1}});
   opts.trace = true;
   opts.metrics_interval = minutes(5);
   return opts;

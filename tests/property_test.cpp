@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "driver/run.hpp"
+#include "fault/campaign.hpp"
 #include "test_util.hpp"
 
 namespace hc3i::testing {
@@ -50,7 +51,7 @@ TEST_P(ConsistencyProperty, LedgerStaysClean) {
     const SimTime at = minutes(9 + i * (45 / std::max(1, c.failures)));
     const auto victim = NodeId{static_cast<std::uint32_t>(
         rng.next_below(c.clusters * c.nodes))};
-    opts.scripted_failures.push_back({at, victim});
+    opts.campaign.kills.push_back({at, victim});
   }
   opts.validate = false;  // collect violations; assert below for messages
   const auto result = driver::run_simulation(opts);
@@ -103,7 +104,10 @@ TEST_P(AutoFailureProperty, Hc3iSurvivesPoissonFaults) {
   for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(8);
   opts.spec.timers.gc_period = minutes(30);
   opts.seed = GetParam();
-  opts.auto_failures = true;
+  fault::StreamSpec stream;  // federation-wide, stopping at the horizon
+  stream.mtbf = opts.spec.topology.mtbf;
+  stream.stop = opts.spec.application.total_time;
+  opts.campaign.streams.push_back(stream);
   const auto result = driver::run_simulation(opts);
   EXPECT_TRUE(result.violations.empty());
   EXPECT_GE(result.counter("fault.injected"), 1u);
@@ -123,7 +127,7 @@ TEST_P(ReplicationProperty, AnyDegreeStaysConsistent) {
   opts.spec.application.total_time = hours(1);
   opts.hc3i.replication = std::get<0>(GetParam());
   opts.seed = std::get<1>(GetParam());
-  opts.scripted_failures.push_back({minutes(30), NodeId{2}});
+  opts.campaign.kills.push_back({minutes(30), NodeId{2}});
   const auto result = driver::run_simulation(opts);
   EXPECT_TRUE(result.violations.empty());
 }
@@ -142,8 +146,8 @@ TEST_P(TransitiveProperty, StaysConsistentUnderFailures) {
   opts.spec.application.total_time = hours(1);
   opts.hc3i.transitive_ddv = true;
   opts.seed = GetParam();
-  opts.scripted_failures.push_back({minutes(20), NodeId{1}});
-  opts.scripted_failures.push_back({minutes(40), NodeId{4}});
+  opts.campaign.kills.push_back({minutes(20), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(40), NodeId{4}});
   const auto result = driver::run_simulation(opts);
   EXPECT_TRUE(result.violations.empty());
 }
@@ -164,7 +168,7 @@ driver::RunOptions heavy_traffic_opts(std::uint64_t seed) {
   }
   for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(3);
   opts.seed = seed;
-  opts.scripted_failures.push_back({minutes(13), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(13), NodeId{1}});
   opts.validate = false;
   return opts;
 }

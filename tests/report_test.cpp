@@ -20,7 +20,7 @@ driver::RunResult tiny_run() {
   opts.spec = config::small_test_spec(2, 3);
   opts.spec.application.total_time = minutes(30);
   opts.spec.timers.gc_period = minutes(12);
-  opts.scripted_failures.push_back({minutes(20), NodeId{1}});
+  opts.campaign.kills.push_back({minutes(20), NodeId{1}});
   return driver::run_simulation(opts);
 }
 
@@ -51,7 +51,7 @@ TEST(Report, ViolationsAreRendered) {
     }
     for (auto& t : opts.spec.timers.clusters) t.clc_period = minutes(3);
     opts.hc3i.capture_channel_state = false;  // sabotage (negative control)
-    opts.scripted_failures.push_back({minutes(13), NodeId{1}});
+    opts.campaign.kills.push_back({minutes(13), NodeId{1}});
     opts.seed = seed;
     opts.validate = false;
     const auto result = driver::run_simulation(opts);

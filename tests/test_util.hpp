@@ -76,7 +76,8 @@ class MiniWorld {
   MiniWorld(config::RunSpec spec, std::uint64_t seed,
             core::Hc3iOptions options = {}, bool independent = false)
       : sim(seed), spec_(std::move(spec)), fed(sim, spec_, registry) {
-    if (independent) options.enable_gc = false;
+    // The GC bound assumes the forcing rule (baselines/independent.hpp).
+    if (independent) spec_.timers.gc_period = SimTime::infinity();
     runtime = std::make_unique<core::Hc3iRuntime>(spec_, options);
     apps.reserve(fed.topology().node_count());
     for (std::uint32_t i = 0; i < fed.topology().node_count(); ++i) {

@@ -319,7 +319,6 @@ TEST(Flags, DefaultsWhenAbsent) {
   const Flags f = Flags::parse(1, argv);
   EXPECT_EQ(f.get("name", "fallback"), "fallback");
   EXPECT_EQ(f.get_int("n", 42), 42);
-  EXPECT_DOUBLE_EQ(f.get_double("x", 1.5), 1.5);
   EXPECT_FALSE(f.has("n"));
 }
 
@@ -327,6 +326,35 @@ TEST(Flags, BadNumberThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   const Flags f = Flags::parse(2, argv);
   EXPECT_THROW(f.get_int("n", 0), CheckFailure);
+}
+
+// Integer flags parse as integers: a fraction, an exponent or an overflow
+// is an error, never a truncating cast, and a value outside the caller's
+// range is refused rather than wrapped.
+TEST(Flags, IntegerFlagsRejectNonIntegersAndOutOfRange) {
+  const char* argv[] = {"prog", "--frac=1.5", "--exp=1e30", "--neg=-1",
+                        "--huge=99999999999999999999", "--ok=-7"};
+  const Flags f = Flags::parse(6, argv);
+  EXPECT_THROW(f.get_int("frac", 0), CheckFailure);
+  EXPECT_THROW(f.get_int("exp", 0), CheckFailure);
+  EXPECT_THROW(f.get_int("huge", 0), CheckFailure);
+  EXPECT_EQ(f.get_int("neg", 0), -1);
+  EXPECT_THROW(f.get_int("neg", 0, 0, 256), CheckFailure);
+  EXPECT_EQ(f.get_int("ok", 0, -10, 10), -7);
+  EXPECT_THROW(f.get_int("ok", 0, 0, 10), CheckFailure);
+  EXPECT_EQ(f.get_int("absent", 300, 0, 256), 300);  // default unchecked
+  try {
+    f.get_int("frac", 0, 0, 256);
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("--frac"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Flags, BareDoubleDashThrows) {
+  const char* argv[] = {"prog", "--"};
+  EXPECT_THROW(Flags::parse(2, argv), CheckFailure);
 }
 
 // ---------------------------------------------------------------------------

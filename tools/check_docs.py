@@ -19,7 +19,10 @@ skipped) for:
     name a target the top-level CMakeLists builds: one it names in an
     `add_executable(<name> ...)` (paper_check) or one of its glob loops
     makes (one per examples/*.cpp and tests/*_test.cpp) — a deleted
-    binary cannot stay in the docs.
+    binary cannot stay in the docs,
+  * config paths: every `configs/...` path in a git-tracked *.md file
+    other than the CHANGES.md history (`{a,b}` alternatives expanded) must
+    exist — a renamed config or sweep file cannot stay in the docs.
 
 Exit status is non-zero when any check fails, so CI can gate on it.
 """
@@ -34,6 +37,7 @@ SKIP_DIRS = {"build", ".git", ".github", "node_modules"}
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 BUILD_REF_RE = re.compile(r"\./build/([A-Za-z0-9_]+)")
 NAMED_TARGET_RE = re.compile(r"^\s*add_executable\((\w+)", re.MULTILINE)
+CONFIG_REF_RE = re.compile(r"\bconfigs/[\w./{},-]*[\w/}]")
 
 
 def repo_root() -> str:
@@ -134,8 +138,18 @@ def check_subsystem_coverage(root: str):
     return errors
 
 
-def check_binary_names(root: str):
-    """Every ./build/<name> in a git-tracked *.md names a built binary."""
+def expand_braces(path: str):
+    """configs/x/{a,b}.conf -> configs/x/a.conf, configs/x/b.conf."""
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    return [e for alt in m.group(1).split(",")
+            for e in expand_braces(path[:m.start()] + alt + path[m.end():])]
+
+
+def check_tracked_refs(root: str):
+    """Every ./build/<name> in a git-tracked *.md names a built binary, and
+    every configs/... path in one exists."""
     with open(os.path.join(root, "CMakeLists.txt"), encoding="utf-8") as f:
         targets = set(NAMED_TARGET_RE.findall(f.read()))
     targets |= {os.path.basename(p)[: -len(".cpp")]
@@ -154,6 +168,12 @@ def check_binary_names(root: str):
                            "of the top-level CMakeLists.txt"
                            for name in BUILD_REF_RE.findall(line)
                            if name not in targets]
+                # CHANGES.md is history: it names files as they were.
+                errors += [f"{rel}:{lineno}: {ref} does not exist"
+                           for refs in CONFIG_REF_RE.findall(line)
+                           if rel != "CHANGES.md"
+                           for ref in expand_braces(refs)
+                           if not os.path.exists(os.path.join(root, ref))]
     return errors
 
 
@@ -165,7 +185,7 @@ def main() -> int:
         checked += 1
         all_errors.extend(check_file(path, root))
     all_errors.extend(check_subsystem_coverage(root))
-    all_errors.extend(check_binary_names(root))
+    all_errors.extend(check_tracked_refs(root))
     for err in all_errors:
         print(f"error: {err}", file=sys.stderr)
     print(f"check_docs: {checked} markdown files, {len(all_errors)} errors")
