@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
     HC3I_CHECK(trace == "stats" || trace == "protocol",
                "unknown --trace: " + trace + " (stats|protocol)");
     const bool protocol_text = trace == "protocol";
+    const bool dump_counters = flags.get_bool("dump-counters", false);
 
     driver::RunOptions opts;
     opts.spec = config::load_run_spec(flags.positional()[0],
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
             "cannot write " + metrics_out);
       }
     }
-    if (flags.get_bool("dump-counters", false)) {
+    if (dump_counters) {
       std::fputs(result.registry.dump().c_str(), stdout);
     } else {
       std::printf("%s", driver::render_report(

@@ -5,11 +5,13 @@
 #include <map>
 #include <utility>
 
+#include "stats/table.hpp"
+
 namespace hc3i::batch {
 
 namespace {
 
-/// printf into a growing string (the repo's tables are printf-formatted).
+/// printf into a growing string (the footer and the JSON).
 /// Sized by a first pass, so a long error text is never truncated.
 template <typename... Args>
 void appendf(std::string* out, const char* fmt, Args... args) {
@@ -67,51 +69,39 @@ double BatchReport::runs_per_min() const {
 
 std::string BatchReport::render_table() const {
   // Aggregate per (topology, campaign, storage) cell, in first-appearance
-  // (grid) order.  Counts and lost work are summed over the cell's runs;
+  // (grid) order.  Counts and recovery cost are summed over the cell's runs;
   // pairs and max_clcs are maxima; lat_ms is the mean over the runs that
   // completed a recovery.
-  struct Key {
-    std::string topology, campaign, storage;
-    bool operator==(const Key&) const = default;
-  };
   struct Cell {
-    std::size_t runs{0};
-    std::uint64_t events{0};
+    const CaseResult* first{nullptr};  ///< first case: its row labels
+    std::uint64_t runs{0}, events{0}, clcs{0}, faults{0};
     double wall_sec{0.0};
-    std::uint64_t clcs{0}, faults{0}, rollbacks{0}, fanout{0}, replayed{0};
-    double lost_work_s{0.0}, latency_s{0.0};
+    fault::RecoveryCost cost;
+    double latency_s{0.0};
     std::size_t latency_runs{0};
-    std::uint64_t pairs{0}, max_clcs{0}, gc_saved_bytes{0};
-    std::uint64_t ckpt_bytes{0}, ckpt_stall_us{0}, recovery_read_us{0};
-    std::size_t failed{0};
+    std::uint64_t pairs{0}, max_clcs{0}, gc_saved_bytes{0}, failed{0};
   };
   // The storage columns (and the per-cell split by storage point) appear
   // only when some case actually ran on the storage axis.
   bool any_storage = false;
   for (const CaseResult& c : cases) any_storage |= !c.storage.empty();
-  std::vector<std::pair<Key, Cell>> cells;
+  std::vector<Cell> cells;
   for (const CaseResult& c : cases) {
-    const Key key{c.topology, c.campaign, c.storage};
-    Cell* cell = nullptr;
-    for (auto& [k, v] : cells) {
-      if (k == key) {
-        cell = &v;
-        break;
-      }
+    auto it = std::find_if(cells.begin(), cells.end(), [&c](const Cell& k) {
+      return k.first->topology == c.topology &&
+             k.first->campaign == c.campaign && k.first->storage == c.storage;
+    });
+    if (it == cells.end()) {
+      it = cells.emplace(cells.end());
+      it->first = &c;
     }
-    if (!cell) {
-      cells.emplace_back(key, Cell{});
-      cell = &cells.back().second;
-    }
+    Cell* cell = &*it;
     ++cell->runs;
     cell->events += c.events;
     cell->wall_sec += c.wall_sec;
     cell->clcs += c.clcs;
     cell->faults += c.faults;
-    cell->rollbacks += c.rollbacks;
-    cell->fanout += c.fanout;
-    cell->replayed += c.replayed;
-    cell->lost_work_s += c.lost_work_s;
+    cell->cost += c.cost;
     if (c.recovery_latency_s > 0) {
       cell->latency_s += c.recovery_latency_s;
       ++cell->latency_runs;
@@ -119,55 +109,56 @@ std::string BatchReport::render_table() const {
     cell->pairs = std::max(cell->pairs, c.pairs);
     cell->max_clcs = std::max(cell->max_clcs, c.max_clcs);
     cell->gc_saved_bytes += c.gc_saved_bytes;
-    cell->ckpt_bytes += c.ckpt_bytes;
-    cell->ckpt_stall_us += c.ckpt_stall_us;
-    cell->recovery_read_us += c.recovery_read_us;
     if (!c.ok) ++cell->failed;
   }
 
-  std::string out;
-  appendf(&out, "%-16s %-10s ", "topology", "campaign");
-  if (any_storage) appendf(&out, "%-24s ", "storage");
-  appendf(&out, "%5s %12s %11s %7s %7s %7s %7s %7s %9s %7s %6s %8s %11s ",
-          "runs", "events", "ev/s", "clcs", "faults", "rb", "fanout",
-          "replay", "lost_s", "lat_ms", "pairs", "max_clcs", "gc_saved_B");
+  std::vector<std::string> headers{
+      "topology", "campaign", "runs",   "events", "ev/s",     "clcs",
+      "faults",   "rb",       "fanout", "replay", "lost_s",   "lat_ms",
+      "pairs",    "max_clcs", "gc_saved_B"};
   if (any_storage) {
-    appendf(&out, "%12s %9s %9s %9s ", "ckpt bytes", "stall s", "read s",
-            "cost s");
+    headers.insert(headers.begin() + 2, "storage");
+    headers.insert(headers.end(),
+                   {"ckpt bytes", "stall s", "read s", "cost s"});
   }
-  appendf(&out, "%6s\n", "fail");
-  for (const auto& [key, cell] : cells) {
-    appendf(&out, "%-16s %-10s ", key.topology.c_str(), key.campaign.c_str());
+  headers.emplace_back("fail");
+  stats::Table t(std::move(headers));
+  for (const Cell& cell : cells) {
+    const CaseResult& first = *cell.first;
+    const fault::RecoveryCost& cost = cell.cost;
+    t.row().cell(first.topology).cell(first.campaign);
+    if (any_storage) t.cell(first.storage.empty() ? "off" : first.storage);
+    t.cell(cell.runs)
+        .cell(cell.events)
+        .cell(cell.wall_sec > 0
+                  ? static_cast<double>(cell.events) / cell.wall_sec
+                  : 0.0,
+              0)
+        .cell(cell.clcs)
+        .cell(cell.faults)
+        .cell(cost.rollbacks)
+        .cell(cost.alert_fanout)
+        .cell(cost.replayed_msgs)
+        .cell(cost.lost_work_s, 1)
+        .cell(cell.latency_runs > 0
+                  ? cell.latency_s * 1e3 /
+                        static_cast<double>(cell.latency_runs)
+                  : 0.0,
+              1)
+        .cell(cell.pairs)
+        .cell(cell.max_clcs)
+        .cell(cell.gc_saved_bytes);
     if (any_storage) {
-      appendf(&out, "%-24s ",
-              key.storage.empty() ? "off" : key.storage.c_str());
+      const double stall_s = static_cast<double>(cost.ckpt_stall_us) * 1e-6;
+      const double read_s = static_cast<double>(cost.recovery_read_us) * 1e-6;
+      t.cell(cost.ckpt_bytes_written)
+          .cell(stall_s, 2)
+          .cell(read_s, 2)
+          .cell(stall_s + read_s + cost.lost_work_s, 1);
     }
-    appendf(&out,
-            "%5zu %12llu %11.0f %7llu %7llu %7llu %7llu %7llu %9.1f %7.1f "
-            "%6llu %8llu %11llu ",
-            cell.runs, static_cast<unsigned long long>(cell.events),
-            cell.wall_sec > 0 ? static_cast<double>(cell.events) / cell.wall_sec
-                              : 0.0,
-            static_cast<unsigned long long>(cell.clcs),
-            static_cast<unsigned long long>(cell.faults),
-            static_cast<unsigned long long>(cell.rollbacks),
-            static_cast<unsigned long long>(cell.fanout),
-            static_cast<unsigned long long>(cell.replayed), cell.lost_work_s,
-            cell.latency_runs > 0
-                ? cell.latency_s * 1e3 / static_cast<double>(cell.latency_runs)
-                : 0.0,
-            static_cast<unsigned long long>(cell.pairs),
-            static_cast<unsigned long long>(cell.max_clcs),
-            static_cast<unsigned long long>(cell.gc_saved_bytes));
-    if (any_storage) {
-      const double stall_s = static_cast<double>(cell.ckpt_stall_us) * 1e-6;
-      const double read_s = static_cast<double>(cell.recovery_read_us) * 1e-6;
-      appendf(&out, "%12llu %9.2f %9.2f %9.1f ",
-              static_cast<unsigned long long>(cell.ckpt_bytes), stall_s,
-              read_s, stall_s + read_s + cell.lost_work_s);
-    }
-    appendf(&out, "%6zu\n", cell.failed);
+    t.cell(cell.failed);
   }
+  std::string out = t.to_ascii();
   std::uint64_t reused = 0, fresh = 0;
   for (const WorkerStats& w : workers) {
     reused += w.pool_reused;
@@ -232,10 +223,10 @@ std::string BatchReport::to_json() const {
               "\"ckpt_saved\": %llu, \"ckpt_stall_us\": %llu, "
               "\"recovery_read_us\": %llu, ",
               json_escape(c.storage).c_str(),
-              static_cast<unsigned long long>(c.ckpt_bytes),
-              static_cast<unsigned long long>(c.ckpt_saved),
-              static_cast<unsigned long long>(c.ckpt_stall_us),
-              static_cast<unsigned long long>(c.recovery_read_us));
+              static_cast<unsigned long long>(c.cost.ckpt_bytes_written),
+              static_cast<unsigned long long>(c.cost.ckpt_bytes_delta_saved),
+              static_cast<unsigned long long>(c.cost.ckpt_stall_us),
+              static_cast<unsigned long long>(c.cost.recovery_read_us));
     }
     appendf(&out,
             "    {\"topology\": \"%s\", \"campaign\": \"%s\", %s\"seed\": "
@@ -253,9 +244,10 @@ std::string BatchReport::to_json() const {
             static_cast<unsigned long long>(c.violations),
             static_cast<unsigned long long>(c.clcs),
             static_cast<unsigned long long>(c.faults),
-            static_cast<unsigned long long>(c.rollbacks),
-            static_cast<unsigned long long>(c.fanout),
-            static_cast<unsigned long long>(c.replayed), c.lost_work_s,
+            static_cast<unsigned long long>(c.cost.rollbacks),
+            static_cast<unsigned long long>(c.cost.alert_fanout),
+            static_cast<unsigned long long>(c.cost.replayed_msgs),
+            c.cost.lost_work_s,
             c.recovery_latency_s, static_cast<unsigned long long>(c.pairs),
             static_cast<unsigned long long>(c.max_clcs),
             static_cast<unsigned long long>(c.gc_saved_bytes),

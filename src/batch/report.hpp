@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "fault/telemetry.hpp"
+
 namespace hc3i::batch {
 
 /// Outcome of one grid cell's run.
@@ -27,15 +29,8 @@ struct CaseResult {
   std::uint64_t violations{0};
   std::uint64_t clcs{0};       ///< committed CLCs across clusters
   std::uint64_t faults{0};     ///< injected failures
-  std::uint64_t rollbacks{0};  ///< cluster rollbacks (cascades included)
-  std::uint64_t fanout{0};     ///< rollback alerts received federation-wide
-  std::uint64_t replayed{0};   ///< logged messages re-sent
-  std::uint64_t ckpt_bytes{0};        ///< checkpoint bytes written to storage
-  std::uint64_t ckpt_saved{0};        ///< bytes incremental capture saved
-  std::uint64_t ckpt_stall_us{0};     ///< node-us stalled on capture writes
-  std::uint64_t recovery_read_us{0};  ///< us reading chains on recovery
-  double lost_work_s{0.0};            ///< node-seconds recomputed
-  double recovery_latency_s{0.0};     ///< mean injection-to-resume latency
+  fault::RecoveryCost cost;    ///< the run's total recovery cost
+  double recovery_latency_s{0.0};  ///< mean injection-to-resume latency
   std::uint64_t pairs{0};       ///< cluster pairs that carried app traffic
   std::uint64_t max_clcs{0};    ///< retained-CLC high-water across clusters
   std::uint64_t gc_saved_bytes{0};  ///< GC response bytes the delta saved

@@ -59,16 +59,9 @@ CaseResult run_case(const RunCase& rc, driver::SimContext& ctx,
       cr.clcs += result.clc_total(ClusterId{static_cast<std::uint32_t>(c)});
     }
     cr.faults = result.counter("fault.injected");
-    cr.rollbacks = result.counter("rollback.count");
-    cr.fanout = result.counter("rollback.alerts");
-    cr.replayed = result.counter("log.resent_msgs");
-    cr.ckpt_bytes = result.counter("ckpt.bytes_written");
-    cr.ckpt_saved = result.counter("ckpt.bytes_delta_saved");
-    cr.ckpt_stall_us = result.counter("ckpt.stall_us");
-    cr.recovery_read_us = result.counter("recovery.read_us");
-    cr.lost_work_s = result.registry.summary("rollback.lost_work_s").sum();
-    cr.recovery_latency_s =
-        result.registry.summary("fault.recovery_latency_s").mean();
+    cr.cost = fault::RecoveryCost::read(
+        result.registry, result.counter("ledger.undone_events"));
+    cr.recovery_latency_s = fault::latency_summary(result.incidents).mean();
     for (const std::string& name : result.registry.counter_names()) {
       if (name.starts_with("net.app.pair.")) ++cr.pairs;
       if (name.starts_with("store.max_clcs.")) {

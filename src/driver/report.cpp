@@ -65,17 +65,20 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
      << result.counter("fault.queued_same_cluster")
      << ", dropped at quiesce bound: "
      << result.counter("fault.skipped_quiesce") << ")\n";
-  os << "cluster rollbacks        : " << result.counter("rollback.count")
-     << " (" << result.counter("rollback.nodes") << " node restores)\n";
-  os << "rollback alerts          : " << result.counter("rollback.alerts") << "\n";
-  os << "logged messages re-sent  : " << result.counter("log.resent_msgs")
-     << " (" << format_bytes(result.counter("log.resent_bytes")) << ")\n";
+  const fault::RecoveryCost cost = fault::RecoveryCost::read(
+      result.registry, result.counter("ledger.undone_events"));
+  os << "cluster rollbacks        : " << cost.rollbacks << " ("
+     << cost.nodes_rolled_back << " node restores)\n";
+  os << "rollback alerts          : " << cost.alert_fanout << "\n";
+  os << "logged messages re-sent  : " << cost.replayed_msgs << " ("
+     << format_bytes(cost.replayed_bytes) << ")\n";
   os << "stale messages discarded : " << result.counter("cic.stale_dropped") << "\n";
   os << "duplicates suppressed    : " << result.counter("cic.dup_dropped") << "\n";
-  const auto& lost = result.registry.summary("rollback.lost_work_s");
-  os << "work lost to rollbacks   : " << lost.sum() << " node-seconds over "
-     << lost.count() << " node restores\n";
-  const auto& latency = result.registry.summary("fault.recovery_latency_s");
+  os << "work lost to rollbacks   : " << cost.lost_work_s
+     << " node-seconds over "
+     << fault::RecoveryCost::lost_work(result.registry).count()
+     << " node restores\n";
+  const stats::Summary latency = fault::latency_summary(result.incidents);
   if (latency.count() > 0) {
     os << "recovery latency         : " << latency.mean() << " s mean, "
        << latency.max() << " s max over " << latency.count()
@@ -93,26 +96,24 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
   os << "GC rounds                : " << result.counter("gc.rounds")
      << " (aborted: " << result.counter("gc.aborted") << ")\n";
 
-  if (result.counter("ckpt.bytes_written") > 0) {
+  if (cost.ckpt_bytes_written > 0) {
     os << "\n== checkpoint storage ==\n";
-    os << "checkpoint bytes written : "
-       << format_bytes(result.counter("ckpt.bytes_written")) << "\n";
+    os << "checkpoint bytes written : " << format_bytes(cost.ckpt_bytes_written)
+       << "\n";
     os << "saved by delta capture   : "
-       << format_bytes(result.counter("ckpt.bytes_delta_saved")) << "\n";
+       << format_bytes(cost.ckpt_bytes_delta_saved) << "\n";
     os << "capture stall            : "
-       << static_cast<double>(result.counter("ckpt.stall_us")) * 1e-6
-       << " node-seconds\n";
+       << static_cast<double>(cost.ckpt_stall_us) * 1e-6 << " node-seconds\n";
     os << "recovery chain reads     : "
-       << static_cast<double>(result.counter("recovery.read_us")) * 1e-6
-       << " seconds\n";
+       << static_cast<double>(cost.recovery_read_us) * 1e-6 << " seconds\n";
   }
 
   if (!result.incidents.empty()) {
     os << "\n== fault incidents (recovery telemetry) ==\n";
     // Storage columns only when the run charged storage costs: keeps the
     // table narrow (and byte-identical) for every pre-storage scenario.
-    const bool storage_cols = result.counter("ckpt.bytes_written") > 0 ||
-                              result.counter("recovery.read_us") > 0;
+    const bool storage_cols =
+        cost.ckpt_bytes_written > 0 || cost.recovery_read_us > 0;
     std::vector<std::string> headers{
         "#", "injected", "node", "cluster", "source", "latency", "conc",
         "rollbacks", "nodes", "alerts", "replay msgs", "replay bytes",
@@ -122,17 +123,17 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
       headers.push_back("read (s)");
     }
     stats::Table t(headers);
-    const auto cost_cells = [&t, storage_cols](const fault::Incident& inc) {
-      t.cell(inc.rollbacks)
-          .cell(inc.nodes_rolled_back)
-          .cell(inc.alert_fanout)
-          .cell(inc.replayed_msgs)
-          .cell(format_bytes(inc.replayed_bytes))
-          .cell(inc.lost_work_s, 1)
-          .cell(inc.events_undone);
+    const auto cost_cells = [&t, storage_cols](const fault::RecoveryCost& c) {
+      t.cell(c.rollbacks)
+          .cell(c.nodes_rolled_back)
+          .cell(c.alert_fanout)
+          .cell(c.replayed_msgs)
+          .cell(format_bytes(c.replayed_bytes))
+          .cell(c.lost_work_s, 1)
+          .cell(c.events_undone);
       if (storage_cols) {
-        t.cell(format_bytes(inc.ckpt_bytes_written))
-            .cell(static_cast<double>(inc.recovery_read_us) * 1e-6, 3);
+        t.cell(format_bytes(c.ckpt_bytes_written))
+            .cell(static_cast<double>(c.recovery_read_us) * 1e-6, 3);
       }
     };
     for (const fault::Incident& inc : result.incidents) {
@@ -145,7 +146,7 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
           .cell(inc.recovery_complete ? to_string(inc.recovery_latency())
                                       : std::string("incomplete"))
           .cell(static_cast<std::uint64_t>(inc.concurrent_peak));
-      cost_cells(inc);
+      cost_cells(inc.cost);
     }
     if (result.fault_summary.has_residual) {
       // Synthetic row: cost that accrued while no incident interval was
@@ -160,7 +161,7 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
           .cell(std::string(res.source))
           .cell(std::string("-"))
           .cell(std::string("-"));
-      cost_cells(res);
+      cost_cells(res.cost);
     }
     os << t.to_ascii();
     os << "max concurrent recoveries: " << result.fault_summary.max_overlap

@@ -61,9 +61,6 @@ class CampaignEngine final : public core::ProtocolObserver {
   void finalize();
 
   RecoveryTelemetry& telemetry() { return telemetry_; }
-  const std::vector<Incident>& incidents() const {
-    return telemetry_.incidents();
-  }
 
   // core::ProtocolObserver ---------------------------------------------------
   void on_phase1_ack(ClusterId cluster, std::uint64_t round,

@@ -68,7 +68,6 @@ void Federation::inject_failure(NodeId victim) {
                  "in flight per cluster)");
   HC3I_CHECK(network_.node_up(victim), "inject_failure: node already down");
   recovery_pending_[c.v] = 1;
-  ++failures_;
   registry_.counter("fault.injected").inc();
   HC3I_OBS(recorder_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
   network_.set_node_down(victim);

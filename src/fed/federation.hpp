@@ -91,8 +91,6 @@ class Federation {
   /// target). Throws if the whole cluster is down.
   NodeId coordinator(ClusterId c) const;
 
-  /// Failures injected so far.
-  std::uint32_t failures_injected() const { return failures_; }
   /// True while cluster `c`'s own fault recovery is pending.
   bool recovery_pending(ClusterId c) const {
     return recovery_pending_[c.v] != 0;
@@ -109,7 +107,6 @@ class Federation {
   obs::Recorder* recorder_{nullptr};
   std::function<void(ClusterId)> recovery_listener_;
   std::vector<std::uint8_t> recovery_pending_;  ///< per cluster, 0/1
-  std::uint32_t failures_{0};
 };
 
 }  // namespace hc3i::fed

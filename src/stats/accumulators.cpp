@@ -86,6 +86,8 @@ double Histogram::quantile(double q) const {
 void Log2Histogram::add(std::uint64_t v) {
   ++total_;
   ++counts_[std::bit_width(v)];  // bit_width(0) == 0: zeros get bucket 0
+  min_ = std::min(min_, v);
+  max_ = std::max(max_, v);
 }
 
 std::uint64_t Log2Histogram::bucket_count(std::size_t i) const {
@@ -104,7 +106,9 @@ double Log2Histogram::quantile(double q) const {
       if (i == 0) return 0.0;
       const double lo = std::ldexp(1.0, static_cast<int>(i) - 1);
       const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return lo + frac * lo;  // bucket spans [lo, 2*lo)
+      // The bucket spans [lo, 2*lo); the observations may not.
+      return std::clamp(lo + frac * lo, static_cast<double>(min_),
+                        static_cast<double>(max_));
     }
     cum = next;
   }
@@ -114,6 +118,8 @@ double Log2Histogram::quantile(double q) const {
 void Log2Histogram::merge(const Log2Histogram& other) {
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   total_ += other.total_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
 }
 
 }  // namespace hc3i::stats

@@ -97,7 +97,8 @@ class Log2Histogram {
   static constexpr std::size_t kBuckets = 65;
 
   /// Value below which `q` (in [0,1]) of the mass lies, by linear
-  /// interpolation within the containing bucket (0 when empty).
+  /// interpolation within the containing bucket, clamped to the observed
+  /// [min, max] (0 when empty).
   double quantile(double q) const;
 
   /// Merge another histogram into this one (bucket-wise addition).
@@ -106,6 +107,8 @@ class Log2Histogram {
  private:
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t total_{0};
+  std::uint64_t min_{std::numeric_limits<std::uint64_t>::max()};
+  std::uint64_t max_{0};
 };
 
 }  // namespace hc3i::stats

@@ -2,9 +2,9 @@
 
 // Result-table construction and rendering.
 //
-// paper_check prints one table per paper artefact, and the run report its
-// incident table.  Table collects cells row by row and renders them as
-// aligned ASCII for the console.
+// paper_check prints one table per paper artefact, the run report its
+// census and incident tables, and sweep one row per grid cell.  Table
+// collects cells row by row and renders them as aligned ASCII.
 
 #include <cstdint>
 #include <string>

@@ -55,7 +55,11 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def,
 bool Flags::get_bool(const std::string& name, bool def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  throw CheckFailure("flag --" + name +
+                     " wants true|1|yes|false|0|no, got '" + v + "'");
 }
 
 std::vector<std::string> Flags::names() const {

@@ -29,7 +29,8 @@ class Flags {
   std::int64_t get_int(const std::string& name, std::int64_t def,
                        std::int64_t lo = INT64_MIN,
                        std::int64_t hi = INT64_MAX) const;
-  /// Boolean flag: present (with no value or "true"/"1") => true.
+  /// Boolean flag: bare --name, true, 1 or yes => true; false, 0 or no =>
+  /// false.  Throws CheckFailure on any other value (a typo is not false).
   bool get_bool(const std::string& name, bool def) const;
 
   /// True if the flag appeared on the command line.

@@ -30,6 +30,7 @@
 #include "driver/run.hpp"
 #include "driver/sim_context.hpp"
 #include "fault/campaign.hpp"
+#include "fault/telemetry.hpp"
 #include "proto/payload_pool.hpp"
 #include "stats/registry.hpp"
 #include "util/check.hpp"
@@ -127,9 +128,36 @@ TEST(ShardIsolation, StorageChargedGridMatchesSoloAtEveryThreadCount) {
       EXPECT_EQ(report.cases[i].dump, solo[i])
           << cases[i].name() << " diverged at threads=" << threads;
       // Every storage-charged case actually exercised the cost model.
-      EXPECT_GT(report.cases[i].ckpt_bytes, 0u) << cases[i].name();
+      EXPECT_GT(report.cases[i].cost.ckpt_bytes_written, 0u)
+          << cases[i].name();
     }
   }
+}
+
+/// A case's cost is the record a solo run of the same (spec, seed) reads
+/// from its own registry and ledger, field for field.
+TEST(ShardIsolation, CaseCostIsTheSoloRunsRecoveryCost) {
+  const std::vector<batch::RunCase> cases = batch::expand(storage_sweep());
+  batch::RunnerOptions ropts;
+  ropts.threads = 2;
+  const batch::BatchReport report = batch::Runner(ropts).run(cases);
+  ASSERT_EQ(report.cases.size(), cases.size());
+  bool any_rollback = false;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    driver::RunOptions opts = cases[i].options();
+    opts.validate = false;
+    const driver::RunResult solo = driver::run_simulation(opts);
+    const fault::RecoveryCost want = fault::RecoveryCost::read(
+        solo.registry, solo.counter("ledger.undone_events"));
+    const fault::RecoveryCost& got = report.cases[i].cost;
+    for (const fault::CostCount& f : fault::kCostCounts) {
+      EXPECT_EQ(got.*f.field, want.*f.field)
+          << cases[i].name() << ": " << f.counter;
+    }
+    EXPECT_EQ(got.lost_work_s, want.lost_work_s) << cases[i].name();
+    any_rollback |= got.rollbacks > 0;
+  }
+  EXPECT_TRUE(any_rollback);  // the faulty cells really cost something
 }
 
 TEST(SweepExpand, StorageAxisMultipliesTheGridAndDerivesSpecs) {
@@ -532,15 +560,15 @@ TEST(BatchReport, CaseColumnsReadTheRunCounters) {
     EXPECT_EQ(c.pairs, 12u) << c.campaign;
     EXPECT_GT(c.max_clcs, 0u) << c.campaign;
     EXPECT_GT(c.gc_saved_bytes, 0u) << c.campaign;
-    EXPECT_EQ(c.fanout, c.rollbacks * 3) << c.campaign;
+    EXPECT_EQ(c.cost.alert_fanout, c.cost.rollbacks * 3) << c.campaign;
   }
   const batch::CaseResult& clean = report.cases[0];
   EXPECT_EQ(clean.faults, 0u);
   EXPECT_EQ(clean.recovery_latency_s, 0.0);
   const batch::CaseResult& faulty = report.cases[1];
   EXPECT_GT(faulty.faults, 0u);
-  EXPECT_GT(faulty.rollbacks, 0u);
-  EXPECT_GT(faulty.lost_work_s, 0.0);
+  EXPECT_GT(faulty.cost.rollbacks, 0u);
+  EXPECT_GT(faulty.cost.lost_work_s, 0.0);
   EXPECT_GT(faulty.recovery_latency_s, 0.0);
 
   const std::string table = report.render_table();

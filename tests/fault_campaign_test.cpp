@@ -204,8 +204,8 @@ TEST(Campaign, PhaseTriggerKillsBetweenPhase1AckAndCommit) {
 
   EXPECT_EQ(w.registry.get("fault.injected"), 1u);
   EXPECT_EQ(w.registry.get("rollback.faults.c0"), 1u);
-  ASSERT_EQ(engine.incidents().size(), 1u);
-  const fault::Incident& inc = engine.incidents()[0];
+  ASSERT_EQ(engine.telemetry().incidents().size(), 1u);
+  const fault::Incident& inc = engine.telemetry().incidents()[0];
   EXPECT_STREQ(inc.source, "phase");
   EXPECT_EQ(inc.victim, NodeId{2});
   EXPECT_TRUE(inc.recovery_complete);
@@ -294,7 +294,8 @@ TEST(Campaign, SameSeedSameCampaignIsByteIdentical) {
     EXPECT_EQ(a.incidents[i].injected_at, b.incidents[i].injected_at);
     EXPECT_EQ(a.incidents[i].victim, b.incidents[i].victim);
     EXPECT_STREQ(a.incidents[i].source, b.incidents[i].source);
-    EXPECT_EQ(a.incidents[i].replayed_msgs, b.incidents[i].replayed_msgs);
+    EXPECT_EQ(a.incidents[i].cost.replayed_msgs,
+              b.incidents[i].cost.replayed_msgs);
   }
 }
 
@@ -416,33 +417,13 @@ TEST(Campaign, IncidentWindowsPartitionTheRunCosts) {
   opts.campaign.kills.push_back(fault::KillSpec{minutes(90), NodeId{7}});
   const auto result = driver::run_simulation(opts);
   ASSERT_EQ(result.incidents.size(), 3u);
-  std::uint64_t rollbacks = 0, alerts = 0, replayed_msgs = 0,
-                replayed_bytes = 0, undone = 0, nodes = 0;
   for (const fault::Incident& inc : result.incidents) {
-    rollbacks += inc.rollbacks;
-    alerts += inc.alert_fanout;
-    replayed_msgs += inc.replayed_msgs;
-    replayed_bytes += inc.replayed_bytes;
-    undone += inc.events_undone;
-    nodes += inc.nodes_rolled_back;
     EXPECT_TRUE(inc.recovery_complete);
-    EXPECT_GE(inc.rollbacks, 1u);
-    EXPECT_GE(inc.nodes_rolled_back, 3u);  // at least the faulty cluster
+    EXPECT_GE(inc.cost.rollbacks, 1u);
+    EXPECT_GE(inc.cost.nodes_rolled_back, 3u);  // at least the faulty cluster
   }
-  // Incident intervals plus the post-campaign residual tile the run, so the
-  // deltas sum *exactly* to the end-of-run counters.
-  ASSERT_TRUE(result.fault_summary.has_residual);
-  const fault::Incident& res = result.fault_summary.residual;
-  EXPECT_STREQ(res.source, "post-campaign");
-  EXPECT_EQ(rollbacks + res.rollbacks, result.counter("rollback.count"));
-  EXPECT_EQ(nodes + res.nodes_rolled_back, result.counter("rollback.nodes"));
-  EXPECT_EQ(alerts + res.alert_fanout, result.counter("rollback.alerts"));
-  EXPECT_EQ(replayed_msgs + res.replayed_msgs,
-            result.counter("log.resent_msgs"));
-  EXPECT_EQ(replayed_bytes + res.replayed_bytes,
-            result.counter("log.resent_bytes"));
-  EXPECT_EQ(undone + res.events_undone,
-            result.counter("ledger.undone_events"));
+  EXPECT_STREQ(result.fault_summary.residual.source, "post-campaign");
+  expect_incident_rows_sum_to_run_cost(result);
   // Serial incidents: never more than one recovery in flight.
   EXPECT_EQ(result.fault_summary.max_overlap, 1u);
   EXPECT_TRUE(result.violations.empty());

@@ -253,26 +253,11 @@ TEST(FaultOverlap, OverlapRowsPlusResidualSumExactly) {
   EXPECT_GE(result.fault_summary.max_overlap, 3u);
   EXPECT_GE(result.counter("fault.queued_same_cluster"), 1u);
 
-  const fault::Incident& res = result.fault_summary.residual;
-  std::uint64_t rollbacks = res.rollbacks, nodes = res.nodes_rolled_back,
-                alerts = res.alert_fanout, msgs = res.replayed_msgs,
-                bytes = res.replayed_bytes, undone = res.events_undone;
+  expect_incident_rows_sum_to_run_cost(result);
   std::uint32_t peak = 0;
   for (const fault::Incident& inc : result.incidents) {
-    rollbacks += inc.rollbacks;
-    nodes += inc.nodes_rolled_back;
-    alerts += inc.alert_fanout;
-    msgs += inc.replayed_msgs;
-    bytes += inc.replayed_bytes;
-    undone += inc.events_undone;
     peak = std::max(peak, inc.concurrent_peak);
   }
-  EXPECT_EQ(rollbacks, result.counter("rollback.count"));
-  EXPECT_EQ(nodes, result.counter("rollback.nodes"));
-  EXPECT_EQ(alerts, result.counter("rollback.alerts"));
-  EXPECT_EQ(msgs, result.counter("log.resent_msgs"));
-  EXPECT_EQ(bytes, result.counter("log.resent_bytes"));
-  EXPECT_EQ(undone, result.counter("ledger.undone_events"));
   EXPECT_EQ(peak, result.fault_summary.max_overlap);
 }
 

@@ -71,6 +71,24 @@ TEST(Log2Histogram, QuantilesStayInsideContainingBucket) {
   EXPECT_LE(p50, p99);
 }
 
+// All values in one bucket: interpolating across the bucket's full
+// [2^k, 2^(k+1)) span would report percentiles above the largest value.
+TEST(Log2Histogram, QuantilesStayInsideTheObservedRange) {
+  stats::Log2Histogram h;
+  for (const std::uint64_t v : {70000u, 71000u, 75000u, 78700u}) h.add(v);
+  ASSERT_EQ(h.bucket_count(17), 4u);  // [65536, 131072)
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_GE(h.quantile(q), 70000.0) << q;
+    EXPECT_LE(h.quantile(q), 78700.0) << q;
+  }
+  // The clamp survives a merge.
+  stats::Log2Histogram other;
+  other.add(80000);
+  h.merge(other);
+  EXPECT_LE(h.quantile(1.0), 80000.0);
+  EXPECT_GE(h.quantile(0.0), 70000.0);
+}
+
 TEST(Log2Histogram, MergeAddsBucketwise) {
   stats::Log2Histogram a, b;
   a.add(10);

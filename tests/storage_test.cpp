@@ -323,23 +323,9 @@ TEST(StorageE2E, IncidentRowsPlusResidualSumExactlyUnderEachBackend) {
     EXPECT_GT(result.counter("ckpt.stall_us"), 0u);
     EXPECT_GT(result.counter("recovery.read_us"), 0u);
     // The chain read happened during the incident's own interval.
-    EXPECT_GT(result.incidents[0].recovery_read_us, 0u);
+    EXPECT_GT(result.incidents[0].cost.recovery_read_us, 0u);
 
-    const fault::Incident& res = result.fault_summary.residual;
-    std::uint64_t bytes = res.ckpt_bytes_written;
-    std::uint64_t saved = res.ckpt_bytes_delta_saved;
-    std::uint64_t stall = res.ckpt_stall_us;
-    std::uint64_t read = res.recovery_read_us;
-    for (const fault::Incident& inc : result.incidents) {
-      bytes += inc.ckpt_bytes_written;
-      saved += inc.ckpt_bytes_delta_saved;
-      stall += inc.ckpt_stall_us;
-      read += inc.recovery_read_us;
-    }
-    EXPECT_EQ(bytes, result.counter("ckpt.bytes_written"));
-    EXPECT_EQ(saved, result.counter("ckpt.bytes_delta_saved"));
-    EXPECT_EQ(stall, result.counter("ckpt.stall_us"));
-    EXPECT_EQ(read, result.counter("recovery.read_us"));
+    expect_incident_rows_sum_to_run_cost(result);
   }
 }
 

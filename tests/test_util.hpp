@@ -9,13 +9,21 @@
 //
 // MiniWorld assembles a full stack (simulation, federation, agents, one
 // ScriptedApp per node) for a given spec and protocol factory.
+//
+// expect_incident_rows_sum_to_run_cost is the recovery-telemetry sum check
+// every campaign test shares.
 
+#include <gtest/gtest.h>
+
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "baselines/independent.hpp"
 #include "config/presets.hpp"
+#include "driver/run.hpp"
+#include "fault/telemetry.hpp"
 #include "fed/federation.hpp"
 #include "hc3i/agent.hpp"
 #include "hc3i/runtime.hpp"
@@ -134,6 +142,24 @@ inline config::RunSpec tiny_spec(std::size_t clusters = 2,
   // Effectively-never unforced CLCs: scenario tests drive everything.
   for (auto& c : spec.timers.clusters) c.clc_period = SimTime::infinity();
   return spec;
+}
+
+/// Incident rows plus the post-campaign residual tile the run, so their
+/// costs sum to the end-of-run counters: every integer field exactly, lost
+/// work within 1e-9 relative (the even split rounds).
+inline void expect_incident_rows_sum_to_run_cost(
+    const driver::RunResult& result) {
+  ASSERT_TRUE(result.fault_summary.has_residual);
+  fault::RecoveryCost sum = result.fault_summary.residual.cost;
+  for (const fault::Incident& inc : result.incidents) sum += inc.cost;
+  for (const fault::CostCount& f : fault::kCostCounts) {
+    EXPECT_EQ(sum.*f.field, result.counter(f.counter)) << f.counter;
+  }
+  const double lost =
+      result.registry.summary("rollback.lost_work_s").sum();
+  EXPECT_LE(std::abs(sum.lost_work_s - lost), 1e-9 * std::abs(lost))
+      << "rollback.lost_work_s: rows " << sum.lost_work_s << ", run "
+      << lost;
 }
 
 }  // namespace hc3i::testing

@@ -322,6 +322,21 @@ TEST(Flags, DefaultsWhenAbsent) {
   EXPECT_FALSE(f.has("n"));
 }
 
+TEST(Flags, BooleanFlagsRejectAnythingButTheSixSpellings) {
+  const char* argv[] = {"prog", "--a",    "--b=yes", "--c=1",  "--d=false",
+                        "--e=0", "--f=no", "--g=ture", "--h="};
+  const Flags f = Flags::parse(9, argv);
+  EXPECT_TRUE(f.get_bool("a", false));
+  EXPECT_TRUE(f.get_bool("b", false));
+  EXPECT_TRUE(f.get_bool("c", false));
+  EXPECT_FALSE(f.get_bool("d", true));
+  EXPECT_FALSE(f.get_bool("e", true));
+  EXPECT_FALSE(f.get_bool("f", true));
+  EXPECT_TRUE(f.get_bool("absent", true));
+  EXPECT_THROW(f.get_bool("g", false), CheckFailure);  // a typo is not false
+  EXPECT_THROW(f.get_bool("h", false), CheckFailure);
+}
+
 TEST(Flags, BadNumberThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   const Flags f = Flags::parse(2, argv);
