@@ -47,8 +47,6 @@ const std::vector<net::Envelope>& GlobalRuntime::channel(SeqNum sn) const {
   return it == channels_.end() ? kEmpty : it->second;
 }
 
-proto::AgentFactory global_factory(GlobalRuntime& rt) { return rt.factory(); }
-
 // ---------------------------------------------------------------------------
 // GlobalAgent
 // ---------------------------------------------------------------------------
@@ -297,16 +295,14 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
     ctx_.ledger->undo_after(cid, rec.ledger_mark);
     count_rollback(ctx_.topology->cluster_size(cid), sn_, rec.sn);
     const std::uint32_t base = ctx_.topology->first_node(cid).v;
-    // Only the fault cluster's recovery span is closed (recovery_done
-    // below); every other cluster is dragged back like an alert rollback.
+    // The fault cluster's record opens a recovery span; every other
+    // cluster is dragged back like an alert rollback.
     HC3I_OBS(ctx_.obs, obs::RecordKind::kRollbackBegin, now(), cid.v, base,
              new_inc, rec.sn, cid == fault_cluster ? 0 : 1);
     for (std::uint32_t i = 0; i < ctx_.topology->cluster_size(cid); ++i) {
       rt_.agents()[base + i]->apply_rollback(rec, new_inc);
     }
   }
-  pending_fault_recovery_ = true;
-  pending_fault_cluster_ = fault_cluster;
 
   // Resume all clusters after the slowest state transfer; re-inject the
   // global channel afterwards.
@@ -324,9 +320,10 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
     for (const net::Envelope& env : rt_.channel(target_sn)) {
       rt_.agents()[env.dst.v]->on_message(env);
     }
-    if (pending_fault_recovery_) {
-      pending_fault_recovery_ = false;
-      ctx_.recovery_done(pending_fault_cluster_);
+    // Every cluster resumed at the latest incarnation: this completes each
+    // detected fault, including one whose own rollback this one superseded.
+    for (std::size_t c = 0; c < rt_.cluster_count(); ++c) {
+      ctx_.recovery_done(ClusterId{static_cast<std::uint32_t>(c)});
     }
   });
 }

@@ -135,8 +135,6 @@ class GlobalAgent final : public proto::AgentBase {
   Incarnation inc_{0};
   std::uint64_t round_{0};
   std::optional<proto::NodePart> tentative_;
-  bool pending_fault_recovery_{false};
-  ClusterId pending_fault_cluster_{};
 
   // Global-coordinator round state (node 0 only).
   bool round_active_{false};
@@ -151,8 +149,5 @@ class GlobalAgent final : public proto::AgentBase {
   std::size_t cluster_acks_{0};
   std::uint64_t cluster_round_{0};
 };
-
-/// Build a factory; the runtime must outlive the federation.
-proto::AgentFactory global_factory(GlobalRuntime& rt);
 
 }  // namespace hc3i::baselines

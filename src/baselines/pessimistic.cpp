@@ -17,10 +17,6 @@ proto::AgentFactory PessimisticRuntime::factory() {
   };
 }
 
-proto::AgentFactory pessimistic_factory(PessimisticRuntime& rt) {
-  return rt.factory();
-}
-
 PessimisticAgent::PessimisticAgent(const proto::AgentContext& ctx,
                                    PessimisticRuntime& rt)
     : AgentBase(ctx), rt_(rt) {}

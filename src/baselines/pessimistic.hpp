@@ -61,9 +61,6 @@ class PessimisticAgent final : public proto::AgentBase {
   void on_message(const net::Envelope& env) override;
   void on_failure_detected(NodeId failed) override;
 
-  /// Messages in this node's replay log (since its last checkpoint).
-  std::size_t receive_log_size() const { return receive_log_.size(); }
-
  private:
   /// Copy of a delivered message persisted at the channel memory.
   struct LogCopy final : net::ControlPayload {
@@ -90,8 +87,5 @@ class PessimisticAgent final : public proto::AgentBase {
   std::unordered_set<std::uint64_t> dedup_; ///< all-time delivered app_seqs
   std::unique_ptr<sim::Timer> timer_;
 };
-
-/// Build a factory; the runtime must outlive the federation.
-proto::AgentFactory pessimistic_factory(PessimisticRuntime& rt);
 
 }  // namespace hc3i::baselines

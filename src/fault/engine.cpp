@@ -61,7 +61,7 @@ void CampaignEngine::arm() {
   }
 
   fed_.set_recovery_listener([this](ClusterId c) { on_recovery(c); });
-  if (rt_ != nullptr) rt_->set_observer(this);
+  if (!plan_.phase_triggers.empty()) rt_->set_observer(this);
 
   // Streams arm first: the auto_failures shim occupies stream index 0 and
   // historically scheduled its first draw before any scripted kill.
@@ -220,11 +220,6 @@ void CampaignEngine::on_clc_commit(ClusterId cluster, SeqNum /*sn*/,
     if (sim().now() < t.spec.not_before) continue;
     trigger_matched(t);
   }
-}
-
-void CampaignEngine::on_failure_detected(ClusterId cluster,
-                                         NodeId /*failed*/) {
-  telemetry_.on_failure_detected(sim().now(), cluster);
 }
 
 // ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ class CampaignEngine final : public core::ProtocolObserver {
   void on_phase1_ack(ClusterId cluster, std::uint64_t round,
                      std::uint32_t acks, std::uint32_t needed) override;
   void on_clc_commit(ClusterId cluster, SeqNum sn, bool forced) override;
-  void on_failure_detected(ClusterId cluster, NodeId failed) override;
 
  private:
   struct StreamState {

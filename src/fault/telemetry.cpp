@@ -103,18 +103,6 @@ void RecoveryTelemetry::begin_incident(SimTime now, NodeId victim,
   summary_.max_overlap = std::max(summary_.max_overlap, overlap);
 }
 
-void RecoveryTelemetry::on_failure_detected(SimTime now, ClusterId cluster) {
-  // At most one incident per cluster is open (the federation enforces one
-  // fault in flight per cluster), so the match is unique.
-  for (const std::size_t idx : open_) {
-    Incident& inc = incidents_[idx];
-    if (inc.cluster == cluster && inc.detected_at == SimTime::zero()) {
-      inc.detected_at = now;
-      return;
-    }
-  }
-}
-
 void RecoveryTelemetry::on_recovery_complete(SimTime now, ClusterId cluster) {
   const auto it = std::find_if(
       open_.begin(), open_.end(),

@@ -7,8 +7,9 @@
 // bytes, capture stalls and chain reads when storage is modelled.  An
 // incident row, the residual row, a run report and a sweep case each carry
 // one.  RecoveryTelemetry turns every injection into an Incident: the engine
-// opens one per kill, the protocol observer stamps detection, and the
-// federation's recovery signal stamps the latency and closes the interval.
+// opens one per kill, and the federation's recovery signal stamps the
+// latency and closes the interval.  (Detection needs no stamp: it is always
+// the injection time plus the timers' detection delay.)
 //
 // Attribution is *per-incident interval*: an incident owns
 // [injection, its own cluster's resume), and the federation-wide cost is
@@ -92,7 +93,6 @@ struct Incident {
   NodeId victim{};
   ClusterId cluster{};
   const char* source{"scripted"}; ///< scripted|stream|burst|repeat|phase
-  SimTime detected_at{};          ///< failure-detector notification (HC3I)
   SimTime recovered_at{};         ///< faulty cluster's application resume
   bool recovery_complete{false};  ///< recovered_at is valid
   std::uint32_t concurrent_peak{0};  ///< max incidents open during interval
@@ -125,8 +125,6 @@ class RecoveryTelemetry {
   /// incident interval (concurrently with any intervals already open).
   void begin_incident(SimTime now, NodeId victim, ClusterId cluster,
                       const char* source);
-  /// The failure detector notified the victim's cluster (HC3I observer).
-  void on_failure_detected(SimTime now, ClusterId cluster);
   /// The faulty cluster's application resumed (federation recovery signal):
   /// attributes the elapsed segment and closes that cluster's incident.
   void on_recovery_complete(SimTime now, ClusterId cluster);

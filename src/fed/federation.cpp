@@ -9,7 +9,7 @@ Federation::Federation(sim::Simulation& sim, config::RunSpec spec,
       registry_(registry),
       topo_((spec_.validate(), spec_.topology)),
       network_(sim, topo_, registry),
-      recovery_pending_(topo_.cluster_count(), 0) {}
+      fault_phase_(topo_.cluster_count(), FaultPhase::kNone) {}
 
 void Federation::build_agents(const proto::AgentFactory& factory,
                               const std::vector<proto::AppHandle*>& apps) {
@@ -67,7 +67,7 @@ void Federation::inject_failure(NodeId victim) {
                  "'s previous recovery is still pending (at most one fault "
                  "in flight per cluster)");
   HC3I_CHECK(network_.node_up(victim), "inject_failure: node already down");
-  recovery_pending_[c.v] = 1;
+  fault_phase_[c.v] = FaultPhase::kInjected;
   registry_.counter("fault.injected").inc();
   HC3I_OBS(recorder_, obs::RecordKind::kFailure, sim_.now(), c.v, victim.v, 0);
   network_.set_node_down(victim);
@@ -76,6 +76,7 @@ void Federation::inject_failure(NodeId victim) {
   sim_.schedule_after(detect, [this, victim, c] {
     // Notify the surviving coordinator.
     const NodeId coord = coordinator(c);
+    fault_phase_[c.v] = FaultPhase::kDetected;
     agent(coord).on_failure_detected(victim);
   });
   // The victim restarts from its neighbour's replica after the transfer.
@@ -89,9 +90,10 @@ void Federation::inject_failure(NodeId victim) {
 }
 
 void Federation::recovery_complete(ClusterId c) {
+  if (fault_phase_[c.v] != FaultPhase::kDetected) return;
+  fault_phase_[c.v] = FaultPhase::kNone;
   HC3I_OBS(recorder_, obs::RecordKind::kRecoveryEnd, sim_.now(), c.v, 0, 0);
   registry_.counter("fault.recovery_complete").inc();
-  recovery_pending_[c.v] = 0;
   if (recovery_listener_) recovery_listener_(c);
 }
 

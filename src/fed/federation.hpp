@@ -16,15 +16,23 @@
 // Failure model: fail-stop, at most one fault in flight *per cluster* (the
 // paper's §2.1 "one fault at a time" read cluster-locally — the hierarchy
 // exists precisely so that independent cluster failures recover
-// independently).  A victim node stops receiving; after the detection
-// delay the coordinator (first up node) of its cluster gets
-// on_failure_detected(); the victim is restored from its neighbour's
-// stable-storage replica after a state transfer delay.  Injection policy
-// lives outside: the fault-campaign engine (src/fault/engine.hpp) decides
-// *when* and *whom* to kill, calls inject_failure(), and observes
-// recovery_complete() — which reports *which* cluster finished — through
-// the recovery listener to queue same-cluster kills and to time
-// recoveries.
+// independently).  The federation alone tracks each cluster's fault
+// lifecycle, in three phases:
+//
+//   injected  inject_failure(): the victim stops receiving;
+//   detected  after the detection delay, just before the coordinator (first
+//             up node) of its cluster gets on_failure_detected();
+//   complete  recovery_complete(c), which protocols signal through
+//             AgentContext::recovery_done whenever cluster c resumes at its
+//             latest incarnation; it completes only a *detected* fault and
+//             is a no-op otherwise.
+//
+// The victim is restored from its neighbour's stable-storage replica after
+// a state transfer delay.  Injection policy lives outside: the
+// fault-campaign engine (src/fault/engine.hpp) decides *when* and *whom* to
+// kill, calls inject_failure(), and observes each completion — which
+// reports *which* cluster finished — through the recovery listener to queue
+// same-cluster kills and to time recoveries.
 
 #include <functional>
 #include <memory>
@@ -62,10 +70,12 @@ class Federation {
   /// and scenario tests drive this directly).
   void inject_failure(NodeId victim);
 
-  /// Protocol signal: the recovery for the last injected failure finished.
+  /// Protocol signal: cluster `c` resumed at its latest incarnation.
+  /// Completes `c`'s fault if it was detected (emitting kRecoveryEnd and
+  /// `fault.recovery_complete`); a no-op otherwise.
   void recovery_complete(ClusterId c);
 
-  /// Install a callback invoked on every recovery_complete() (the campaign
+  /// Install a callback invoked on every completed recovery (the campaign
   /// engine retries deferred injections and stamps telemetry from it).
   void set_recovery_listener(std::function<void(ClusterId)> listener) {
     recovery_listener_ = std::move(listener);
@@ -91,12 +101,14 @@ class Federation {
   /// target). Throws if the whole cluster is down.
   NodeId coordinator(ClusterId c) const;
 
-  /// True while cluster `c`'s own fault recovery is pending.
+  /// True while cluster `c`'s own fault is injected or detected.
   bool recovery_pending(ClusterId c) const {
-    return recovery_pending_[c.v] != 0;
+    return fault_phase_[c.v] != FaultPhase::kNone;
   }
 
  private:
+  enum class FaultPhase : std::uint8_t { kNone, kInjected, kDetected };
+
   sim::Simulation& sim_;
   config::RunSpec spec_;
   stats::Registry& registry_;
@@ -106,7 +118,7 @@ class Federation {
   std::vector<std::unique_ptr<proto::ProtocolAgent>> agents_;
   obs::Recorder* recorder_{nullptr};
   std::function<void(ClusterId)> recovery_listener_;
-  std::vector<std::uint8_t> recovery_pending_;  ///< per cluster, 0/1
+  std::vector<FaultPhase> fault_phase_;  ///< per cluster
 };
 
 }  // namespace hc3i::fed

@@ -565,9 +565,6 @@ void Hc3iAgent::on_failure_detected(NodeId failed) {
   // stored CLC."
   HC3I_CHECK(ctx_.topology->cluster_of(failed) == cluster(),
              "failure notification routed to wrong cluster");
-  if (ProtocolObserver* ob = rt_.observer()) {
-    ob->on_failure_detected(cluster(), failed);
-  }
   cluster_stat(stat_rollback_faults_, "rollback.faults").inc();
   // Paper §4: the first CLC "is the beginning of the application".  A fault
   // while the initial round is still in phase 1 restarts the cluster from
@@ -631,7 +628,6 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
     peer->apply_cluster_rollback(rec, new_inc, lost_memory);
     peer->lost_memory_idx_.reset();
   }
-  if (fault_origin) rt_.set_fault_recovery_owed(c);
 
   // 4. Discard the checkpoints of the undone future.
   store().truncate_after(rec.sn);
@@ -674,9 +670,10 @@ void Hc3iAgent::rollback_cluster(proto::ClcRecord rec_arg, bool fault_origin) {
     for (Hc3iAgent* peer : rt_.cluster_agents(cluster())) {
       if (peer->inc_ == new_inc) peer->resume_after_rollback(*rec_sp);
     }
-    if (inc_ == new_inc && rt_.take_fault_recovery_owed(cluster())) {
-      ctx_.recovery_done(cluster());
-    }
+    // The cluster resumed at its latest incarnation: this completes its
+    // detected fault, also when a cascade superseded the fault's own
+    // rollback.
+    if (inc_ == new_inc) ctx_.recovery_done(cluster());
     // Restarted from the beginning of the application: take the first CLC
     // again, as start() did.
     Hc3iAgent* coordinator = rt_.cluster_agents(cluster()).front();

@@ -11,7 +11,6 @@ Hc3iRuntime::Hc3iRuntime(const config::RunSpec& spec, Hc3iOptions opts)
   spec_.validate();
   const std::size_t n = spec_.topology.cluster_count();
   incarnations_.assign(n, 0);
-  fault_recovery_owed_.assign(n, 0);
   agents_.resize(n);
   log_tallies_.resize(n);
   stores_.reserve(n);

@@ -43,12 +43,13 @@ struct GcEvent {
   std::size_t clcs_after{0};
 };
 
-/// Observer of coarse protocol-state transitions (per CLC round / per
-/// failure, never per message).  The fault-campaign engine
-/// (src/fault/engine.hpp) implements it to fire phase-targeted failure
-/// injections ("between phase-1 ack and commit") and to stamp recovery
-/// telemetry; agents notify through the runtime only when an observer is
-/// installed, so failure-free runs pay one null-pointer test per round.
+/// Observer of CLC-round phase transitions (per round, never per message).
+/// The fault-campaign engine (src/fault/engine.hpp) implements it to fire
+/// phase-targeted failure injections ("between phase-1 ack and commit");
+/// failure detection and recovery are the federation's to track
+/// (fed::Federation's fault phases), not an observer's.  Agents notify
+/// through the runtime only when an observer is installed, so failure-free
+/// runs pay one null-pointer test per round.
 class ProtocolObserver {
  public:
   virtual ~ProtocolObserver() = default;
@@ -61,9 +62,6 @@ class ProtocolObserver {
   /// A cluster committed a CLC.
   virtual void on_clc_commit(ClusterId /*cluster*/, SeqNum /*sn*/,
                              bool /*forced*/) {}
-  /// The failure detector notified `cluster`'s surviving coordinator.
-  virtual void on_failure_detected(ClusterId /*cluster*/,
-                                   NodeId /*failed*/) {}
 };
 
 /// Shared protocol state for one simulation run.
@@ -131,26 +129,6 @@ class Hc3iRuntime {
   /// The installed observer, or nullptr (the common, failure-free case).
   ProtocolObserver* observer() const { return observer_; }
 
-  /// Mark cluster `c` as owing a recovery_done() signal for an injected
-  /// fault.  The flag is cluster-level (not agent-level) because the
-  /// rollback that pays the debt may be superseded by a cascade routed
-  /// through a *different* agent of the same cluster; whichever resume
-  /// survives at the latest incarnation consumes the flag.
-  void set_fault_recovery_owed(ClusterId c) {
-    HC3I_CHECK(c.v < fault_recovery_owed_.size(),
-               "set_fault_recovery_owed: bad cluster");
-    fault_recovery_owed_[c.v] = 1;
-  }
-  /// Consume the owed-recovery flag of cluster `c`; returns whether it was
-  /// set.
-  bool take_fault_recovery_owed(ClusterId c) {
-    HC3I_CHECK(c.v < fault_recovery_owed_.size(),
-               "take_fault_recovery_owed: bad cluster");
-    const bool owed = fault_recovery_owed_[c.v] != 0;
-    fault_recovery_owed_[c.v] = 0;
-    return owed;
-  }
-
  private:
   config::RunSpec spec_;
   Hc3iOptions opts_;
@@ -161,7 +139,6 @@ class Hc3iRuntime {
   std::vector<proto::LogTally> log_tallies_;     ///< per cluster; never
                                                  ///< resized (logs point in)
   std::vector<GcEvent> gc_events_;
-  std::vector<std::uint8_t> fault_recovery_owed_;  ///< per cluster, 0/1
   ProtocolObserver* observer_{nullptr};
 };
 

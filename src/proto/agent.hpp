@@ -34,9 +34,11 @@ struct AgentContext {
   /// Structured trace recorder; null when observability is off (the common
   /// case — every emission site is then a single pointer test, HC3I_OBS).
   obs::Recorder* obs{nullptr};
-  /// Signals the failure injector that the recovery triggered by the last
-  /// detected failure has completed cluster-locally (used to honour the
-  /// paper's one-fault-at-a-time assumption).
+  /// Signals that a cluster resumed at its latest incarnation.  Protocols
+  /// call it on every such resume, whatever caused the rollback; the
+  /// federation completes the cluster's fault only if one was detected
+  /// (Federation::recovery_complete), which is how the paper's
+  /// one-fault-at-a-time assumption is honoured per cluster.
   std::function<void(ClusterId)> recovery_done;
 };
 

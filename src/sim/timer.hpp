@@ -37,8 +37,6 @@ class Timer {
   /// Stop the timer; it will not fire until re-armed.
   void cancel();
 
-  /// Change the period; takes effect at the next arm()/reset().
-  void set_period(SimTime period) { period_ = period; }
   SimTime period() const { return period_; }
 
   /// True if an expiry is currently scheduled.

@@ -56,31 +56,30 @@ std::vector<std::size_t> column_widths(
   return w;
 }
 
-std::string pad(const std::string& s, std::size_t width) {
-  std::string out = s;
-  out.resize(width, ' ');
-  return out;
+/// One line: every cell (a missing one reads as empty) padded to its
+/// column's width, two spaces apart, with the trailing blanks trimmed so no
+/// line ends in a space.
+void put_line(std::ostringstream& os, const std::vector<std::string>& cells,
+              const std::vector<std::size_t>& w) {
+  std::string line;
+  for (std::size_t c = 0; c < w.size(); ++c) {
+    const std::size_t start = line.size();
+    if (c < cells.size()) line += cells[c];
+    line.resize(start + w[c] + 2, ' ');
+  }
+  line.erase(line.find_last_not_of(' ') + 1);
+  os << line << '\n';
 }
 }  // namespace
 
 std::string Table::to_ascii() const {
   const auto w = column_widths(headers_, rows_);
+  std::vector<std::string> rule;
+  for (const std::size_t width : w) rule.emplace_back(width, '-');
   std::ostringstream os;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << pad(headers_[c], w[c]) << (c + 1 < headers_.size() ? "  " : "");
-  }
-  os << '\n';
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << std::string(w[c], '-') << (c + 1 < headers_.size() ? "  " : "");
-  }
-  os << '\n';
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      const std::string& v = c < r.size() ? r[c] : kEmpty;
-      os << pad(v, w[c]) << (c + 1 < headers_.size() ? "  " : "");
-    }
-    os << '\n';
-  }
+  put_line(os, headers_, w);
+  put_line(os, rule, w);
+  for (const auto& r : rows_) put_line(os, r, w);
   return os.str();
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "stats/accumulators.hpp"
 #include "stats/registry.hpp"
 #include "stats/table.hpp"
@@ -193,6 +196,18 @@ TEST(Table, AsciiAlignsColumns) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("3.14"), std::string::npos);
   EXPECT_EQ(t.at(0, 1), "42");
+  // No line ends in a space: not the header, the rule, a full row, nor a
+  // row whose last cells are missing.
+  t.row().cell("only-first");
+  const std::string out2 = t.to_ascii();
+  std::istringstream lines(out2);
+  int n = 0;
+  for (std::string line; std::getline(lines, line); ++n) {
+    ASSERT_FALSE(line.empty());
+    EXPECT_NE(line.back(), ' ') << "line " << n << ": '" << line << "'";
+  }
+  EXPECT_EQ(n, 5);
+  EXPECT_EQ(out2.substr(0, out2.find('\n')), "name        value");
 }
 
 TEST(Table, GuardsAgainstMisuse) {

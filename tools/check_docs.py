@@ -22,7 +22,16 @@ skipped) for:
     binary cannot stay in the docs,
   * config paths: every `configs/...` path in a git-tracked *.md file
     other than the CHANGES.md history (`{a,b}` alternatives expanded) must
-    exist — a renamed config or sweep file cannot stay in the docs.
+    exist — a renamed config or sweep file cannot stay in the docs,
+  * qualified names: every backticked qualified C++ name (`ns::Type::member`,
+    also inside a longer code span) in a git-tracked *.md file must still
+    exist, in that each of its `::` components occurs as a word in a
+    tracked file under src/, tests/, bench/, examples/, tools/ or a
+    benchmark/ C++ source — a deleted function, member or type cannot stay
+    named in the docs.  Top-level notes other than README.md (the change
+    history, the roadmap, the paper notes and reference snippets) name code
+    as it was, as it will be or as other projects have it, and are not
+    checked.
 
 Exit status is non-zero when any check fails, so CI can gate on it.
 """
@@ -38,6 +47,10 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 BUILD_REF_RE = re.compile(r"\./build/([A-Za-z0-9_]+)")
 NAMED_TARGET_RE = re.compile(r"^\s*add_executable\((\w+)", re.MULTILINE)
 CONFIG_REF_RE = re.compile(r"\bconfigs/[\w./{},-]*[\w/}]")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_NAME_RE = re.compile(r"(?<![\w:])(?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*")
+CODE_DIRS = ("src", "tests", "bench", "examples", "tools",
+             "benchmark/*.cpp", "benchmark/*.hpp")
 
 
 def repo_root() -> str:
@@ -147,22 +160,53 @@ def expand_braces(path: str):
             for e in expand_braces(path[:m.start()] + alt + path[m.end():])]
 
 
+def git_files(root: str, *pathspecs: str):
+    """Paths (relative to root) git tracks under `pathspecs` that exist in
+    the working tree (a file deleted but still indexed is skipped)."""
+    out = subprocess.run(["git", "ls-files", "-z", "--", *pathspecs],
+                         cwd=root, capture_output=True, check=True)
+    return [rel for rel in filter(None, out.stdout.decode().split("\0"))
+            if os.path.exists(os.path.join(root, rel))]
+
+
+def code_words(root: str):
+    """Every identifier-like word in the tracked code."""
+    words = set()
+    for rel in git_files(root, *CODE_DIRS):
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as f:
+            words.update(re.findall(r"\w+", f.read()))
+    return words
+
+
+def stale_names(line: str, words):
+    """Backticked qualified names on `line` with a component no code has."""
+    return [name for span in CODE_SPAN_RE.findall(line)
+            for name in QUALIFIED_NAME_RE.findall(span)
+            if any(part not in words
+                   for part in name.replace("~", "").split("::"))]
+
+
+def names_checked(rel: str) -> bool:
+    """Whether qualified names in the tracked *.md `rel` must name code:
+    README.md and everything below the top level.  Other top-level notes
+    are history, plans or reference material."""
+    return rel == "README.md" or "/" in rel
+
+
 def check_tracked_refs(root: str):
-    """Every ./build/<name> in a git-tracked *.md names a built binary, and
-    every configs/... path in one exists."""
+    """Every ./build/<name> in a git-tracked *.md names a built binary,
+    every configs/... path in one exists, and every backticked qualified
+    C++ name in the documentation proper still names code."""
     with open(os.path.join(root, "CMakeLists.txt"), encoding="utf-8") as f:
         targets = set(NAMED_TARGET_RE.findall(f.read()))
     targets |= {os.path.basename(p)[: -len(".cpp")]
                 for pattern in ("examples/*.cpp", "tests/*_test.cpp")
                 for p in glob.glob(os.path.join(root, pattern))}
-    tracked = subprocess.run(["git", "ls-files", "-z", "--", "*.md"],
-                             cwd=root, capture_output=True, check=True)
+    words = code_words(root)
     errors = []
-    for rel in filter(None, tracked.stdout.decode().split("\0")):
-        path = os.path.join(root, rel)
-        if not os.path.exists(path):  # deleted in the tree, still indexed
-            continue
-        with open(path, encoding="utf-8") as f:
+    for rel in git_files(root, "*.md"):
+        with open(os.path.join(root, rel), encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
                 errors += [f"{rel}:{lineno}: ./build/{name} is not a target "
                            "of the top-level CMakeLists.txt"
@@ -174,6 +218,10 @@ def check_tracked_refs(root: str):
                            if rel != "CHANGES.md"
                            for ref in expand_braces(refs)
                            if not os.path.exists(os.path.join(root, ref))]
+                if names_checked(rel):
+                    errors += [f"{rel}:{lineno}: `{name}` names nothing in "
+                               "the code (deleted or renamed?)"
+                               for name in stale_names(line, words)]
     return errors
 
 
