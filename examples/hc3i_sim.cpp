@@ -20,8 +20,8 @@
 // --trace-out writes the structured protocol trace as Chrome/Perfetto
 // trace_event JSON (open in https://ui.perfetto.dev); --metrics-out writes
 // the periodic counter samples as TSV, sampled every --metrics-interval of
-// simulated time (default 30s when --metrics-out is given).  Both outputs
-// are byte-reproducible for a fixed seed; see docs/observability.md.
+// simulated time (positive; default 30s when --metrics-out is given).  Both
+// outputs are byte-reproducible for a fixed seed; see docs/observability.md.
 //
 // Prints the end-of-run statistics block (the simulator's "lowest output",
 // per the paper), or with --dump-counters the sorted "name = value" counter
@@ -110,9 +110,17 @@ int main(int argc, char** argv) {
     opts.trace = protocol_text || !trace_out.empty();
     const std::string interval_text = flags.get("metrics-interval", "");
     if (!interval_text.empty()) {
+      // A zero interval would switch the sampler off and leave
+      // --metrics-out unwritten.
       const auto parsed = parse_duration(interval_text);
-      HC3I_CHECK(parsed.has_value() && !parsed->is_infinite(),
-                 "bad --metrics-interval: " + interval_text);
+      if (!parsed.has_value() || *parsed == SimTime::zero() ||
+          parsed->is_infinite()) {
+        std::fprintf(stderr,
+                     "hc3i_sim: --metrics-interval wants a positive finite "
+                     "duration, got '%s'\n",
+                     interval_text.c_str());
+        return 2;
+      }
       opts.metrics_interval = *parsed;
     } else if (!metrics_out.empty()) {
       opts.metrics_interval = seconds(30);

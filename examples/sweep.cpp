@@ -16,7 +16,7 @@
 // --json prints one object per case, each with the FNV-1a digest of its
 // counter dump: two --json runs of one file at different --threads agree on
 // every field but the wall-clock ones (the CI determinism step).
-// --obs-dir writes <dir>/case<i>.trace.json (+ .metrics.tsv every
+// --obs-dir writes <dir>/case<i>.trace.json (+ .metrics.tsv every positive
 // --metrics-interval of simulated time); paths are disjoint per case.
 //
 // The table sums each (topology, campaign, storage) cell over its seeds:
@@ -72,8 +72,12 @@ int main(int argc, char** argv) {
     if (!opts.obs_dir.empty()) {
       const std::string interval_text = flags.get("metrics-interval", "30s");
       const auto parsed = parse_duration(interval_text);
-      if (!parsed.has_value() || parsed->is_infinite()) {
-        std::fprintf(stderr, "sweep: bad --metrics-interval: %s\n",
+      // A zero interval would switch the sampler off: no metrics files.
+      if (!parsed.has_value() || *parsed == SimTime::zero() ||
+          parsed->is_infinite()) {
+        std::fprintf(stderr,
+                     "sweep: --metrics-interval wants a positive finite "
+                     "duration, got '%s'\n",
                      interval_text.c_str());
         return 2;
       }

@@ -158,10 +158,9 @@ TopologySpec parse_topology(std::string_view text, const std::string& origin) {
   // Pass 1: the [federation] section fixes the cluster count.
   for (const auto& sec : sections) {
     if (sec.name == "federation") {
-      check_known_keys(sec, {"clusters", "mtbf"}, origin);
+      check_known_keys(sec, {"clusters"}, origin);
       n_clusters = static_cast<std::size_t>(need_uint(sec, "clusters", origin));
       if (n_clusters == 0) fail(origin, sec.line, "clusters must be >= 1");
-      topo.mtbf = opt(sec, "mtbf", topo.mtbf, need_duration, origin);
     }
   }
   if (n_clusters == 0) {

@@ -8,8 +8,9 @@
 //   [section possibly with args]
 //   key = value
 //
-// Topology file:
-//   [federation]          clusters = 2      mtbf = 100h
+// Topology file (failures are not a topology property: MTBF failures are a
+// [stream] section of a campaign file):
+//   [federation]          clusters = 2
 //   [cluster 0]           nodes = 100       latency = 10us   bandwidth = 80Mb/s
 //   [link 0 1]            latency = 150us   bandwidth = 100Mb/s
 //

@@ -4,11 +4,12 @@
 //
 // The paper (§5.1): "The user has to provide three files: a topology file, an
 // application file and a timer file."  These structs are the in-memory form;
-// config/parser.* reads the text formats and config/writer.* emits them.
+// config/parser.* reads the text formats; the files under configs/ are
+// hand-written and pinned to their presets by what they parse to.
 //
 //  * TopologySpec    — number of clusters, nodes per cluster, bandwidth and
 //                      latency inside each cluster and between clusters
-//                      (triangular matrix), and the federation MTBF.
+//                      (triangular matrix).
 //  * ApplicationSpec — per-cluster mean computation time, communication
 //                      pattern probabilities, message/state sizes and the
 //                      application's total execution time.
@@ -30,6 +31,7 @@ struct LinkSpec {
   SimTime latency{microseconds(10)};
   /// Serialisation rate in bytes per second (may be +inf for ideal links).
   double bytes_per_sec{10e6};
+  bool operator==(const LinkSpec&) const = default;
 };
 
 /// Checkpoint-storage cost model of one cluster.  kNone (the default) keeps
@@ -56,6 +58,7 @@ struct StorageSpec {
   bool incremental{true};
 
   bool enabled() const { return kind != Kind::kNone; }
+  bool operator==(const StorageSpec&) const = default;
 };
 
 /// One cluster: its size and its SAN characteristics.
@@ -66,6 +69,7 @@ struct ClusterSpec {
   LinkSpec san{};
   /// Checkpoint-storage cost model (off by default).
   StorageSpec storage{};
+  bool operator==(const ClusterSpec&) const = default;
 };
 
 /// The federation: clusters plus the inter-cluster link matrix.
@@ -74,9 +78,13 @@ struct TopologySpec {
   /// inter[i][j] (i != j) is the link between clusters i and j; symmetric.
   /// Sized clusters() x clusters(); the diagonal is unused.
   std::vector<std::vector<LinkSpec>> inter;
-  /// Federation Mean Time Between Failures; SimTime::infinity() disables
-  /// failure injection.
+  /// Federation Mean Time Between Failures, read only by the
+  /// RunOptions::auto_failures shim; topology files cannot set it (a
+  /// campaign's [stream] section is the file form).  SimTime::infinity()
+  /// disables that injection.
   SimTime mtbf{SimTime::infinity()};
+
+  bool operator==(const TopologySpec&) const = default;
 
   /// Number of clusters.
   std::size_t cluster_count() const { return clusters.size(); }
@@ -100,6 +108,7 @@ struct ClusterAppSpec {
   /// to cluster j (the diagonal entry is the intra-cluster weight).
   /// Weights are unnormalised; all zero disables sending from this cluster.
   std::vector<double> traffic;
+  bool operator==(const ClusterAppSpec&) const = default;
 };
 
 /// The synthetic code-coupling application.
@@ -111,6 +120,8 @@ struct ApplicationSpec {
   /// One entry per cluster.
   std::vector<ClusterAppSpec> clusters;
 
+  bool operator==(const ApplicationSpec&) const = default;
+
   /// Validation against a topology; throws CheckFailure when inconsistent.
   void validate(const TopologySpec& topo) const;
 };
@@ -120,6 +131,7 @@ struct ClusterTimerSpec {
   /// Delay between two unforced CLCs; SimTime::infinity() means the cluster
   /// never starts a CLC on its own (paper §5.2 runs cluster 1 this way).
   SimTime clc_period{minutes(30)};
+  bool operator==(const ClusterTimerSpec&) const = default;
 };
 
 /// Protocol timers (paper: "delays between two CLCs, garbage collection...").
@@ -132,6 +144,8 @@ struct TimersSpec {
   /// paper §3.4).
   SimTime detection_delay{milliseconds(100)};
 
+  bool operator==(const TimersSpec&) const = default;
+
   /// Validation against a topology; throws CheckFailure when inconsistent.
   void validate(const TopologySpec& topo) const;
 };
@@ -141,6 +155,8 @@ struct RunSpec {
   TopologySpec topology;
   ApplicationSpec application;
   TimersSpec timers;
+
+  bool operator==(const RunSpec&) const = default;
 
   /// Validate all three parts together.
   void validate() const;

@@ -75,9 +75,6 @@ class Network {
   /// Number of messages currently in flight or parked.
   std::size_t in_flight_count() const { return live_flights_; }
 
-  /// Total messages ever sent.
-  std::uint64_t total_sent() const { return next_msg_id_; }
-
   /// Distinct (src cluster, dst cluster) pairs that carried application
   /// traffic — the census footprint (scales with active pairs, not
   /// clusters²; see pair_census.hpp).

@@ -3,14 +3,13 @@
 // Online statistical accumulators.
 //
 // The simulator's "lowest output is statistical data" (paper §5.1); these
-// accumulators gather it in one pass with O(1) memory: Welford mean/variance,
-// min/max, and a fixed-bin histogram for distributions (rollback depth, CLC
-// intervals, message latency).
+// accumulators gather it in one pass with O(1) memory: Welford mean/variance
+// and min/max, and a log2-bucket histogram for tail quantiles (recovery
+// latency).
 
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 #include "util/check.hpp"
 
@@ -37,9 +36,6 @@ class Summary {
   /// Sum of all observations.
   double sum() const { return sum_; }
 
-  /// Merge another summary into this one (parallel-safe combination rule).
-  void merge(const Summary& other);
-
  private:
   std::uint64_t n_{0};
   double mean_{0.0};
@@ -47,35 +43,6 @@ class Summary {
   double sum_{0.0};
   double min_{std::numeric_limits<double>::infinity()};
   double max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range values land in
-/// saturating under/overflow bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Record one observation.
-  void add(double x);
-
-  /// Number of observations recorded (including under/overflow).
-  std::uint64_t count() const { return total_; }
-  /// Count in bin i.
-  std::uint64_t bin_count(std::size_t i) const;
-  /// Lower edge of bin i.
-  double bin_lo(std::size_t i) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-
-  /// Value below which `q` (in [0,1]) of the mass lies, by linear
-  /// interpolation within the containing bin.
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_{0}, overflow_{0}, total_{0};
 };
 
 /// Log2-bucket histogram over non-negative integer observations (latencies
@@ -100,9 +67,6 @@ class Log2Histogram {
   /// interpolation within the containing bucket, clamped to the observed
   /// [min, max] (0 when empty).
   double quantile(double q) const;
-
-  /// Merge another histogram into this one (bucket-wise addition).
-  void merge(const Log2Histogram& other);
 
  private:
   std::array<std::uint64_t, kBuckets> counts_{};

@@ -1,4 +1,5 @@
-// Unit tests for src/config: the three file formats, round trips, presets.
+// Unit tests for src/config: the three file formats, presets, and the
+// committed files under configs/.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include "batch/sweep.hpp"
 #include "config/parser.hpp"
 #include "config/presets.hpp"
-#include "config/writer.hpp"
 #include "fault/campaign.hpp"
 
 namespace hc3i::config {
@@ -21,7 +21,6 @@ constexpr const char* kTopology = R"(
 # reference topology (paper 5.2)
 [federation]
 clusters = 2
-mtbf = 100h
 
 [cluster 0]
 nodes = 100
@@ -62,7 +61,6 @@ TEST(Topology, ParsesReference) {
   EXPECT_DOUBLE_EQ(topo.clusters[0].san.bytes_per_sec, 80e6 / 8);
   EXPECT_EQ(topo.inter_link(ClusterId{0}, ClusterId{1}).latency,
             microseconds(150));
-  EXPECT_EQ(topo.mtbf, hours(100));
 }
 
 TEST(Topology, RejectsInconsistency) {
@@ -142,6 +140,15 @@ clc_period = inf
   EXPECT_TRUE(timers.clusters[1].clc_period.is_infinite());
 }
 
+TEST(Timers, ParsesInfinitePeriods) {
+  const TopologySpec topo = parse_topology(kTopology);
+  EXPECT_EQ(parse_timers("[timers]\ngc_period = inf\n"
+                         "[cluster 0]\nclc_period = inf\n"
+                         "[cluster 1]\nclc_period = 30min\n",
+                         topo),
+            paper_reference_timers(SimTime::infinity(), minutes(30)));
+}
+
 // A misspelled key is an error in every config kind, never a silent default.
 void expect_parse_error(const std::function<void()>& parse,
                         const std::string& message) {
@@ -193,45 +200,17 @@ TEST(UnknownKeys, CampaignRejectsMisspelledKey) {
       "stop)");
 }
 
-TEST(Writer, TopologyRoundTrips) {
-  const TopologySpec topo = paper_reference_topology();
-  const TopologySpec again = parse_topology(write_topology(topo));
-  EXPECT_EQ(again.cluster_count(), topo.cluster_count());
-  EXPECT_EQ(again.clusters[0].nodes, topo.clusters[0].nodes);
-  EXPECT_EQ(again.clusters[0].san.latency, topo.clusters[0].san.latency);
-  EXPECT_DOUBLE_EQ(again.inter_link(ClusterId{0}, ClusterId{1}).bytes_per_sec,
-                   topo.inter_link(ClusterId{0}, ClusterId{1}).bytes_per_sec);
-  EXPECT_EQ(again.mtbf, topo.mtbf);
-}
-
-TEST(Writer, ApplicationRoundTrips) {
-  const TopologySpec topo = paper_reference_topology();
-  const ApplicationSpec app = paper_reference_application();
-  const ApplicationSpec again = parse_application(write_application(app), topo);
-  EXPECT_EQ(again.total_time, app.total_time);
-  EXPECT_EQ(again.state_bytes, app.state_bytes);
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(again.clusters[c].mean_compute, app.clusters[c].mean_compute);
-    EXPECT_EQ(again.clusters[c].traffic, app.clusters[c].traffic);
-  }
-}
-
-TEST(Writer, TimersRoundTrip) {
-  const TopologySpec topo = paper_reference_topology();
-  const TimersSpec timers =
-      paper_reference_timers(minutes(30), SimTime::infinity(), hours(2));
-  const TimersSpec again = parse_timers(write_timers(timers), topo);
-  EXPECT_EQ(again.clusters[0].clc_period, minutes(30));
-  EXPECT_TRUE(again.clusters[1].clc_period.is_infinite());
-  EXPECT_EQ(again.gc_period, hours(2));
-}
-
-TEST(Writer, QuantityTextForms) {
-  EXPECT_EQ(duration_text(minutes(30)), "30min");
-  EXPECT_EQ(duration_text(microseconds(150)), "150us");
-  EXPECT_EQ(duration_text(SimTime::infinity()), "inf");
-  EXPECT_EQ(bandwidth_text(80e6 / 8), "80Mb/s");
-  EXPECT_EQ(bytes_text(8u * 1024 * 1024), "8MB");
+TEST(UnknownKeys, TopologyRejectsFederationMtbf) {
+  // No run from files reads a topology MTBF, so the key must fail rather
+  // than be ignored; MTBF failures are a campaign's [stream] section.
+  expect_parse_error(
+      [] {
+        parse_topology("[federation]\nclusters = 1\nmtbf = 5min\n"
+                       "[cluster 0]\nnodes = 2\nlatency = 1us\n"
+                       "bandwidth = 1Mb/s\n",
+                       "t.conf");
+      },
+      "t.conf:1: unknown key 'mtbf' in [federation] (known: clusters)");
 }
 
 TEST(Presets, ReferenceMatchesPaperParameters) {
@@ -277,10 +256,6 @@ TEST(Presets, SmallSpecValidates) {
   }
 }
 
-// The files under configs/ feed the hc3i_sim ctests and five goldens.  Each
-// must equal config::write_* of the preset it was written from, so a preset
-// that changes without its files fails here, not in a golden diff; a file
-// with no preset listed here fails too.
 /// The paper's motivating code-coupling application (Fig. 1): simulation
 /// -> treatment -> display stages pinned to three 32-node clusters with
 /// pipelined inter-cluster traffic, 10 h under 30-min CLC timers.
@@ -313,6 +288,10 @@ fault::Campaign one_kill(SimTime at, NodeId victim) {
   return plan;
 }
 
+// The files under configs/ feed the hc3i_sim ctests and five goldens.  Each
+// must parse to the preset it stands for, so a preset that changes without
+// its files (or a file edited away from its preset) fails here, not in a
+// golden diff; a file with no preset listed here fails too.
 TEST(CommittedConfigs, MatchTheirPresets) {
   RunSpec small = small_test_spec(2, 8);
   small.application.total_time = hours(1);
@@ -331,7 +310,6 @@ TEST(CommittedConfigs, MatchTheirPresets) {
   for (ClusterTimerSpec& t : recovery.timers.clusters) {
     t.clc_period = minutes(10);
   }
-  const RunSpec pipeline = pipeline_spec();
 
   const RunSpec scale = scale_federation_spec(10, 100, minutes(30));
   TopologySpec scale_storage = scale.topology;
@@ -339,36 +317,27 @@ TEST(CommittedConfigs, MatchTheirPresets) {
   striped.kind = StorageSpec::Kind::kStripedRemote;
   for (ClusterSpec& c : scale_storage.clusters) c.storage = striped;
 
-  const std::map<std::string, std::string> expected = {
-      {"paper/topology.conf", write_topology(paper_reference_topology())},
-      {"paper/application.conf",
-       write_application(paper_reference_application())},
-      {"paper/timers.conf",
-       write_timers(paper_reference_timers(minutes(30), minutes(30)))},
-      {"small/topology.conf", write_topology(small.topology)},
-      {"small/application.conf", write_application(small.application)},
-      {"small/timers.conf", write_timers(small.timers)},
-      {"small/undrainable.campaign", write_campaign(undrainable)},
-      {"small/quickstart.campaign",
-       write_campaign(one_kill(minutes(12), NodeId{4}))},
-      {"recovery/topology.conf", write_topology(recovery.topology)},
-      {"recovery/application.conf", write_application(recovery.application)},
-      {"recovery/timers.conf", write_timers(recovery.timers)},
-      {"recovery/kill.campaign",
-       write_campaign(one_kill(minutes(35), NodeId{5}))},
-      {"pipeline/topology.conf", write_topology(pipeline.topology)},
-      {"pipeline/application.conf", write_application(pipeline.application)},
-      {"pipeline/timers.conf", write_timers(pipeline.timers)},
-      {"scale/topology.conf", write_topology(scale.topology)},
-      {"scale/topology_storage.conf", write_topology(scale_storage)},
-      {"scale/application.conf", write_application(scale.application)},
-      {"scale/timers.conf", write_timers(scale.timers)},
-      {"scale/faulty.campaign",
-       write_campaign(fault::reference_scale_campaign(10, 100, minutes(30)))},
-      {"scale/overlap.campaign",
-       write_campaign(
-           fault::reference_overlap_campaign(10, 100, minutes(30)))},
+  // Each directory's three run files, then its campaigns (parsed against
+  // the directory's topology).
+  const std::map<std::string, RunSpec> runs = {
+      {"paper",
+       {paper_reference_topology(), paper_reference_application(),
+        paper_reference_timers(minutes(30), minutes(30))}},
+      {"small", small},
+      {"recovery", recovery},
+      {"pipeline", pipeline_spec()},
+      {"scale", scale},
   };
+  const std::map<std::string, fault::Campaign> campaigns = {
+      {"small/undrainable.campaign", undrainable},
+      {"small/quickstart.campaign", one_kill(minutes(12), NodeId{4})},
+      {"recovery/kill.campaign", one_kill(minutes(35), NodeId{5})},
+      {"scale/faulty.campaign",
+       fault::reference_scale_campaign(10, 100, minutes(30))},
+      {"scale/overlap.campaign",
+       fault::reference_overlap_campaign(10, 100, minutes(30))},
+  };
+
   const std::filesystem::path root =
       std::filesystem::path(HC3I_SOURCE_DIR) / "configs";
   std::set<std::string> on_disk, listed;
@@ -378,12 +347,31 @@ TEST(CommittedConfigs, MatchTheirPresets) {
       on_disk.insert(entry.path().lexically_relative(root).generic_string());
     }
   }
-  for (const auto& [name, text] : expected) {
+  const auto text = [&root, &listed](const std::string& name) {
     listed.insert(name);
-    EXPECT_EQ(read_file((root / name).string()), text) << name;
+    return read_file((root / name).string());
+  };
+  for (const auto& [dir, spec] : runs) {
+    const std::string topology = dir + "/topology.conf";
+    const std::string application = dir + "/application.conf";
+    const std::string timers = dir + "/timers.conf";
+    EXPECT_EQ(parse_topology(text(topology), topology), spec.topology)
+        << topology;
+    EXPECT_EQ(parse_application(text(application), spec.topology,
+                                application),
+              spec.application)
+        << application;
+    EXPECT_EQ(parse_timers(text(timers), spec.topology, timers), spec.timers)
+        << timers;
   }
-  // The sweep CLI's grids are hand-written data, not preset renderings:
-  // each must parse and expand into runnable cases.
+  const std::string storage = "scale/topology_storage.conf";
+  EXPECT_EQ(parse_topology(text(storage), storage), scale_storage) << storage;
+  for (const auto& [name, plan] : campaigns) {
+    const RunSpec& spec = runs.at(name.substr(0, name.find('/')));
+    EXPECT_EQ(parse_campaign(text(name), spec.topology, name), plan) << name;
+  }
+  // The sweep CLI's grids have no preset: each must parse and expand into
+  // runnable cases.
   for (const char* name :
        {"sweep/determinism.sweep", "sweep/determinism_storage.sweep",
         "sweep/faulty_scaling.sweep", "sweep/mtbf.sweep",

@@ -81,23 +81,6 @@ TEST(Log2Histogram, QuantilesStayInsideTheObservedRange) {
     EXPECT_GE(h.quantile(q), 70000.0) << q;
     EXPECT_LE(h.quantile(q), 78700.0) << q;
   }
-  // The clamp survives a merge.
-  stats::Log2Histogram other;
-  other.add(80000);
-  h.merge(other);
-  EXPECT_LE(h.quantile(1.0), 80000.0);
-  EXPECT_GE(h.quantile(0.0), 70000.0);
-}
-
-TEST(Log2Histogram, MergeAddsBucketwise) {
-  stats::Log2Histogram a, b;
-  a.add(10);
-  b.add(10);
-  b.add(1000);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.bucket_count(4), 2u);
-  EXPECT_EQ(a.bucket_count(10), 1u);
 }
 
 // ---------------------------------------------------------------------------

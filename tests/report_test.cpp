@@ -8,7 +8,6 @@
 
 #include "config/parser.hpp"
 #include "config/presets.hpp"
-#include "config/writer.hpp"
 #include "driver/report.hpp"
 #include "driver/run.hpp"
 
@@ -64,19 +63,26 @@ TEST(Report, ViolationsAreRendered) {
 }
 
 TEST(ConfigFiles, LoadRunSpecFromDisk) {
-  // Round-trip the reference configuration through real files, as the
-  // hc3i_sim tool does.
+  // Load three real files, as the hc3i_sim tool does.
   const auto dir = std::string(::testing::TempDir());
   const auto topo_path = dir + "/hc3i_topo.conf";
   const auto app_path = dir + "/hc3i_app.conf";
   const auto timers_path = dir + "/hc3i_timers.conf";
   {
-    std::ofstream(topo_path) << config::write_topology(
-        config::paper_reference_topology());
-    std::ofstream(app_path) << config::write_application(
-        config::paper_reference_application());
-    std::ofstream(timers_path) << config::write_timers(
-        config::paper_reference_timers(minutes(30), SimTime::infinity()));
+    std::ofstream(topo_path) << "[federation]\nclusters = 2\n"
+                                "[cluster 0]\nnodes = 100\nlatency = 10us\n"
+                                "bandwidth = 80Mb/s\n"
+                                "[cluster 1]\nnodes = 100\nlatency = 10us\n"
+                                "bandwidth = 80Mb/s\n"
+                                "[link 0 1]\nlatency = 150us\n"
+                                "bandwidth = 100Mb/s\n";
+    std::ofstream(app_path) << "[application]\ntotal_time = 10h\n"
+                               "[cluster 0]\nmean_compute = 2min\n"
+                               "[cluster 1]\nmean_compute = 3min\n"
+                               "[traffic 0]\n0 = 0.95\n1 = 0.05\n"
+                               "[traffic 1]\n1 = 1.0\n";
+    std::ofstream(timers_path) << "[cluster 0]\nclc_period = 30min\n"
+                                  "[cluster 1]\nclc_period = inf\n";
   }
   const config::RunSpec spec =
       config::load_run_spec(topo_path, app_path, timers_path);

@@ -31,59 +31,6 @@ TEST(Summary, MeanAndVariance) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Summary, MergeMatchesSequential) {
-  Summary all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty) {
-  Summary a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  Summary b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(10.0);   // overflow (hi is exclusive)
-  h.add(5.5);    // bin 5
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 10), CheckFailure);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckFailure);
-}
-
 TEST(Registry, CountersStartAtZero) {
   Registry r;
   EXPECT_EQ(r.get("nope"), 0u);
