@@ -78,8 +78,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     const std::string trace = flags.get("trace", "stats");
-    HC3I_CHECK(trace == "stats" || trace == "protocol",
-               "unknown --trace: " + trace + " (stats|protocol)");
+    if (trace != "stats" && trace != "protocol") {
+      std::fprintf(stderr, "hc3i_sim: unknown --trace: %s (stats|protocol)\n",
+                   trace.c_str());
+      return 2;
+    }
     const bool protocol_text = trace == "protocol";
     const bool dump_counters = flags.get_bool("dump-counters", false);
 
@@ -91,7 +94,11 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("seed", 1, 0, INT64_MAX));
     const std::string protocol_name = flags.get("protocol", "hc3i");
     const auto protocol = driver::parse_protocol(protocol_name);
-    HC3I_CHECK(protocol.has_value(), "unknown --protocol: " + protocol_name);
+    if (!protocol.has_value()) {
+      std::fprintf(stderr, "hc3i_sim: unknown --protocol: %s\n",
+                   protocol_name.c_str());
+      return 2;
+    }
     opts.protocol = *protocol;
     const std::string campaign_path = flags.get("campaign", "");
     if (!campaign_path.empty()) {
@@ -131,14 +138,17 @@ int main(int argc, char** argv) {
       if (protocol_text) {
         std::fputs(obs::trace_text(*result.obs).c_str(), stderr);
       }
-      if (!trace_out.empty()) {
-        HC3I_CHECK(obs::write_text_file(trace_out, obs::trace_json(*result.obs)),
-                   "cannot write " + trace_out);
+      // Not HC3I_CHECKs: a build with checks off would skip the writes.
+      if (!trace_out.empty() &&
+          !obs::write_text_file(trace_out, obs::trace_json(*result.obs))) {
+        std::fprintf(stderr, "hc3i_sim: cannot write %s\n", trace_out.c_str());
+        return 2;
       }
-      if (!metrics_out.empty()) {
-        HC3I_CHECK(
-            obs::write_text_file(metrics_out, obs::metrics_tsv(*result.obs)),
-            "cannot write " + metrics_out);
+      if (!metrics_out.empty() &&
+          !obs::write_text_file(metrics_out, obs::metrics_tsv(*result.obs))) {
+        std::fprintf(stderr, "hc3i_sim: cannot write %s\n",
+                     metrics_out.c_str());
+        return 2;
       }
     }
     if (dump_counters) {

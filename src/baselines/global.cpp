@@ -197,12 +197,18 @@ void GlobalAgent::commit_round() {
       return "clc.unforced.c" + std::to_string(c);
     }).inc();
   }
-  // Global channel state: every application message still in flight, plus
-  // every node's deferred arrivals.
-  std::vector<net::Envelope> channel =
-      ctx_.network->snapshot_in_flight([](const net::Envelope& e) {
-        return e.cls == net::MsgClass::kApp;
-      });
+  // Global channel state: every application message still in flight, in
+  // MsgId order, plus every node's deferred arrivals.
+  std::vector<net::Envelope> channel;
+  for (std::uint32_t c = 0; c < rt_.cluster_count(); ++c) {
+    std::vector<net::Envelope> sent = ctx_.network->app_in_flight(ClusterId{c});
+    channel.insert(channel.end(), std::make_move_iterator(sent.begin()),
+                   std::make_move_iterator(sent.end()));
+  }
+  std::sort(channel.begin(), channel.end(),
+            [](const net::Envelope& a, const net::Envelope& b) {
+              return a.id.v < b.id.v;
+            });
   for (const GlobalAgent* a : rt_.agents()) {
     channel.insert(channel.end(), a->deferred_.begin(), a->deferred_.end());
   }

@@ -77,7 +77,7 @@ std::string render_report(const RunResult& result, std::size_t clusters) {
   os << "work lost to rollbacks   : " << cost.lost_work_s
      << " node-seconds over "
      << fault::RecoveryCost::lost_work(result.registry).count()
-     << " node restores\n";
+     << " restores that lost work\n";
   const stats::Summary latency = fault::latency_summary(result.incidents);
   if (latency.count() > 0) {
     os << "recovery latency         : " << latency.mean() << " s mean, "

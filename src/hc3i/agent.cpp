@@ -474,9 +474,9 @@ void Hc3iAgent::coordinator_commit_round() {
     // (A real implementation gathers the same set with flush markers over
     // the FIFO SAN; see DESIGN.md §3.)
     const ClusterId c = cluster();
-    rec.channel = ctx_.network->snapshot_in_flight([c](const net::Envelope& e) {
-      return e.cls == net::MsgClass::kApp && e.src_cluster == c &&
-             e.dst_cluster == c;
+    rec.channel = ctx_.network->app_in_flight(c);
+    std::erase_if(rec.channel, [c](const net::Envelope& e) {
+      return e.dst_cluster != c;
     });
     for (const Hc3iAgent* peer : rt_.cluster_agents(c)) {
       for (const net::Envelope& e : peer->deferred_) {

@@ -11,8 +11,8 @@ Network::Network(sim::Simulation& sim, const Topology& topo,
     : sim_(sim), topo_(topo), reg_(reg),
       deliver_(topo.node_count()),
       up_(topo.node_count(), true),
-      park_head_(topo.node_count(), kNil),
-      park_tail_(topo.node_count(), kNil) {}
+      parked_(topo.node_count()),
+      app_flights_(topo.cluster_count()) {}
 
 void Network::attach(NodeId n, DeliverFn deliver) {
   HC3I_CHECK(n.v < deliver_.size(), "attach: bad node id");
@@ -61,43 +61,55 @@ std::uint32_t Network::alloc_flight() {
 
 void Network::release_flight(std::uint32_t slot) {
   Flight& f = flights_[slot];
+  if (f.app_cluster != kNil) {
+    unlink(app_flights_[f.app_cluster], &Flight::app, slot);
+    f.app_cluster = kNil;
+  }
   f.live = false;
   f.parked = false;
-  f.park_prev = f.park_next = kNil;
+  f.park = {};
   f.event = {};
   ++f.gen;
   free_flights_.push_back(slot);
   --live_flights_;
 }
 
+void Network::push_back(Ends& list, Link Flight::*link, std::uint32_t slot) {
+  Link& l = flights_[slot].*link;
+  l.prev = list.tail;
+  l.next = kNil;
+  if (list.tail != kNil) {
+    (flights_[list.tail].*link).next = slot;
+  } else {
+    list.head = slot;
+  }
+  list.tail = slot;
+}
+
+void Network::unlink(Ends& list, Link Flight::*link, std::uint32_t slot) {
+  Link& l = flights_[slot].*link;
+  if (l.prev != kNil) {
+    (flights_[l.prev].*link).next = l.next;
+  } else {
+    list.head = l.next;
+  }
+  if (l.next != kNil) {
+    (flights_[l.next].*link).prev = l.prev;
+  } else {
+    list.tail = l.prev;
+  }
+  l = {};
+}
+
 void Network::park(std::uint32_t slot) {
   Flight& f = flights_[slot];
   f.parked = true;
-  const std::uint32_t node = f.env.dst.v;
-  f.park_prev = park_tail_[node];
-  f.park_next = kNil;
-  if (park_tail_[node] != kNil) {
-    flights_[park_tail_[node]].park_next = slot;
-  } else {
-    park_head_[node] = slot;
-  }
-  park_tail_[node] = slot;
+  push_back(parked_[f.env.dst.v], &Flight::park, slot);
 }
 
 void Network::unpark(std::uint32_t slot) {
   Flight& f = flights_[slot];
-  const std::uint32_t node = f.env.dst.v;
-  if (f.park_prev != kNil) {
-    flights_[f.park_prev].park_next = f.park_next;
-  } else {
-    park_head_[node] = f.park_next;
-  }
-  if (f.park_next != kNil) {
-    flights_[f.park_next].park_prev = f.park_prev;
-  } else {
-    park_tail_[node] = f.park_prev;
-  }
-  f.park_prev = f.park_next = kNil;
+  unlink(parked_[f.env.dst.v], &Flight::park, slot);
   f.parked = false;
 }
 
@@ -120,6 +132,11 @@ MsgId Network::send(Envelope env) {
   const MsgId id = env.id;
   const std::uint32_t slot = alloc_flight();
   Flight& f = flights_[slot];
+  if (env.cls == MsgClass::kApp) {
+    // MsgIds only grow, so appending keeps each list in MsgId order.
+    f.app_cluster = env.src_cluster.v;
+    push_back(app_flights_[f.app_cluster], &Flight::app, slot);
+  }
   f.env = std::move(env);
   f.event = sim_.schedule_after(
       delay, [this, slot, gen = f.gen] { arrive(slot, gen); });
@@ -157,7 +174,8 @@ void Network::set_node_up(NodeId n) {
   // immediate events so handlers run from a clean stack.  Only this node's
   // parked list is touched — O(parked here), not O(all in flight).
   std::vector<std::uint32_t> ready;
-  for (std::uint32_t s = park_head_[n.v]; s != kNil; s = flights_[s].park_next) {
+  for (std::uint32_t s = parked_[n.v].head; s != kNil;
+       s = flights_[s].park.next) {
     ready.push_back(s);
   }
   std::sort(ready.begin(), ready.end(),
@@ -177,22 +195,15 @@ bool Network::node_up(NodeId n) const {
   return up_[n.v];
 }
 
-std::vector<Envelope> Network::snapshot_in_flight(
-    const std::function<bool(const Envelope&)>& pred) const {
-  // Gather matching slots, then emit in MsgId order: the captured channel
-  // state feeds protocol decisions, so its order is part of the
-  // bit-reproducibility contract.
-  std::vector<std::uint32_t> match;
-  for (std::uint32_t s = 0; s < flights_.size(); ++s) {
-    if (flights_[s].live && pred(flights_[s].env)) match.push_back(s);
-  }
-  std::sort(match.begin(), match.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return flights_[a].env.id.v < flights_[b].env.id.v;
-            });
+std::vector<Envelope> Network::app_in_flight(ClusterId src) const {
+  HC3I_CHECK(src.v < app_flights_.size(), "app_in_flight: bad cluster id");
+  // The list is in MsgId order: the captured channel state feeds protocol
+  // decisions, so its order is part of the bit-reproducibility contract.
   std::vector<Envelope> out;
-  out.reserve(match.size());
-  for (const std::uint32_t s : match) out.push_back(flights_[s].env);
+  for (std::uint32_t s = app_flights_[src.v].head; s != kNil;
+       s = flights_[s].app.next) {
+    out.push_back(flights_[s].env);
+  }
   return out;
 }
 

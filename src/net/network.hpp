@@ -16,16 +16,18 @@
 //
 // The in-flight registry gives the checkpointing layer two primitives the
 // paper leaves implicit but any implementation needs:
-//   * snapshot_in_flight(pred) — capture channel state at CLC commit,
-//   * drop_in_flight(pred)     — discard a rolled-back cluster's stale
-//                                intra-cluster traffic.
+//   * app_in_flight(src)    — capture channel state at CLC commit,
+//   * drop_in_flight(pred)  — discard a rolled-back cluster's stale
+//                             intra-cluster traffic.
 //
 // Every message crosses this layer, so its bookkeeping is slot-indexed: a
 // flight lives in a recycled slab slot (O(1) add/remove, no per-message node
 // allocation), parked messages hang off a per-node intrusive list (reviving a
-// node is O(parked-for-that-node), not O(all in flight)), and the traffic
-// census bumps pre-resolved stats::Counter handles instead of building
-// name strings per send.
+// node is O(parked-for-that-node), not O(all in flight)), live application
+// flights hang off a per-source-cluster intrusive list in send order (a
+// commit's capture is O(that cluster's app flights), not a walk of the slab;
+// control flights never join it), and the traffic census bumps pre-resolved
+// stats::Counter handles instead of building name strings per send.
 
 #include <functional>
 #include <vector>
@@ -62,11 +64,10 @@ class Network {
   /// True if the node is currently up.
   bool node_up(NodeId n) const;
 
-  /// Copy every in-flight (sent, not yet arrived, plus parked) envelope
-  /// matching `pred`, in MsgId (send) order. Used for CLC channel-state
-  /// capture.
-  std::vector<Envelope> snapshot_in_flight(
-      const std::function<bool(const Envelope&)>& pred) const;
+  /// Copy every in-flight (sent, not yet arrived, plus parked) application
+  /// envelope sent from cluster `src`, in MsgId (send) order. Used for CLC
+  /// channel-state capture.
+  std::vector<Envelope> app_in_flight(ClusterId src) const;
 
   /// Remove every in-flight/parked envelope matching `pred`; returns how
   /// many were dropped. Used when a cluster rolls back.
@@ -85,12 +86,26 @@ class Network {
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  /// One flight's links in an intrusive slot list.
+  struct Link {
+    std::uint32_t prev{kNil};
+    std::uint32_t next{kNil};
+  };
+  /// The two ends of an intrusive slot list.
+  struct Ends {
+    std::uint32_t head{kNil};
+    std::uint32_t tail{kNil};
+  };
+
   struct Flight {
     Envelope env;
     sim::EventId event;       ///< scheduled arrival (stale while parked)
     std::uint32_t gen{1};     ///< bumped when the slot is recycled
-    std::uint32_t park_prev{kNil};  ///< intrusive per-destination parked list
-    std::uint32_t park_next{kNil};
+    Link park;                ///< per-destination-node parked list
+    Link app;                 ///< per-source-cluster app list
+    /// Source cluster of an app flight, kept here because `arrive` moves
+    /// `env` out before releasing the slot; kNil for control flights.
+    std::uint32_t app_cluster{kNil};
     bool live{false};
     bool parked{false};
   };
@@ -109,6 +124,8 @@ class Network {
   void release_flight(std::uint32_t slot);
   void park(std::uint32_t slot);
   void unpark(std::uint32_t slot);
+  void push_back(Ends& list, Link Flight::*link, std::uint32_t slot);
+  void unlink(Ends& list, Link Flight::*link, std::uint32_t slot);
 
   sim::Simulation& sim_;
   const Topology& topo_;
@@ -117,8 +134,8 @@ class Network {
   std::vector<bool> up_;               ///< indexed by NodeId
   std::vector<Flight> flights_;        ///< slot-indexed flight table
   std::vector<std::uint32_t> free_flights_;  ///< recycled slots
-  std::vector<std::uint32_t> park_head_;     ///< per-node parked list head
-  std::vector<std::uint32_t> park_tail_;     ///< per-node parked list tail
+  std::vector<Ends> parked_;        ///< indexed by NodeId
+  std::vector<Ends> app_flights_;   ///< indexed by ClusterId, MsgId order
   std::size_t live_flights_{0};
   std::uint64_t next_msg_id_{1};
 

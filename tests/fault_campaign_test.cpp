@@ -434,7 +434,8 @@ TEST(Campaign, ReportRendersRecoveryCountersAndIncidentTable) {
   const std::string report = driver::render_report(result, 2);
   for (const char* needle :
        {"fault incidents (recovery telemetry)", "recovery latency",
-        "node restores", "scripted", "replay msgs", "lost work"}) {
+        "node restores", "restores that lost work", "scripted",
+        "replay msgs", "lost work"}) {
     EXPECT_NE(report.find(needle), std::string::npos) << needle;
   }
 }

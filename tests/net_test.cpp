@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "config/presets.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
+#include "util/rng.hpp"
 
 namespace hc3i::net {
 namespace {
@@ -184,15 +188,142 @@ TEST_F(NetworkTest, RepeatedDownUpCyclesKeepParkingConsistent) {
   }
 }
 
-TEST_F(NetworkTest, SnapshotInFlightSeesUnarrived) {
+TEST_F(NetworkTest, AppInFlightSeesUnarrived) {
   net_.send(app_env(NodeId{0}, NodeId{1}));
   net_.send(app_env(NodeId{0}, NodeId{5}));
-  const auto intra = net_.snapshot_in_flight(
-      [](const Envelope& e) { return e.intra_cluster(); });
-  EXPECT_EQ(intra.size(), 1u);
+  net_.send(app_env(NodeId{5}, NodeId{6}));
+  EXPECT_EQ(net_.app_in_flight(ClusterId{0}).size(), 2u);
+  EXPECT_EQ(net_.app_in_flight(ClusterId{1}).size(), 1u);
   sim_.run_all();
-  EXPECT_TRUE(net_.snapshot_in_flight([](const Envelope&) { return true; })
-                  .empty());
+  EXPECT_TRUE(net_.app_in_flight(ClusterId{0}).empty());
+  EXPECT_TRUE(net_.app_in_flight(ClusterId{1}).empty());
+}
+
+TEST_F(NetworkTest, AppInFlightKeepsSendOrderAcrossSlotReuse) {
+  // A one-byte intra-cluster message lands first; the next send reuses its
+  // slot, which then sits below every older flight in the slab.
+  const MsgId a = net_.send(app_env(NodeId{0}, NodeId{1}, 1));
+  const MsgId b = net_.send(app_env(NodeId{4}, NodeId{5}));
+  const MsgId c = net_.send(app_env(NodeId{0}, NodeId{5}));
+  const MsgId d = net_.send(app_env(NodeId{4}, NodeId{0}));
+  sim_.run_until(microseconds(20));
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(received_[0].second.id, a);
+  const MsgId e = net_.send(app_env(NodeId{1}, NodeId{2}));
+  const MsgId f = net_.send(app_env(NodeId{5}, NodeId{6}));
+
+  const auto ids = [this](std::uint32_t cluster) {
+    std::vector<MsgId> out;
+    for (const Envelope& env : net_.app_in_flight(ClusterId{cluster})) {
+      out.push_back(env.id);
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(0), (std::vector<MsgId>{c, e}));
+  EXPECT_EQ(ids(1), (std::vector<MsgId>{b, d, f}));
+}
+
+TEST_F(NetworkTest, AppInFlightListsParkedButNotDroppedDeliveredOrControl) {
+  net_.set_node_down(NodeId{1});
+  const MsgId parked = net_.send(app_env(NodeId{0}, NodeId{1}));
+  const MsgId delivered = net_.send(app_env(NodeId{0}, NodeId{2}));
+  net_.send(app_env(NodeId{0}, NodeId{3}));
+  Envelope ctl;
+  ctl.src = NodeId{0};
+  ctl.dst = NodeId{2};
+  ctl.cls = MsgClass::kControl;
+  const MsgId control = net_.send(std::move(ctl));
+  EXPECT_EQ(net_.app_in_flight(ClusterId{0}).size(), 3u);
+
+  EXPECT_EQ(net_.drop_in_flight(
+                [](const Envelope& e) { return e.dst == NodeId{3}; }),
+            1u);
+  sim_.run_all();
+  ASSERT_EQ(received_.size(), 2u);
+  EXPECT_EQ(received_[0].second.id, control);  // no payload: lands first
+  EXPECT_EQ(received_[1].second.id, delivered);
+  const auto listed = net_.app_in_flight(ClusterId{0});
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].id, parked);
+
+  net_.set_node_up(NodeId{1});
+  sim_.run_all();
+  EXPECT_TRUE(net_.app_in_flight(ClusterId{0}).empty());
+  EXPECT_EQ(net_.in_flight_count(), 0u);
+}
+
+// Random sends, deliveries, node down/up and drops against a brute-force
+// model of every live flight: after each operation, each cluster's
+// app_in_flight must be exactly the model's app flights from that cluster,
+// in MsgId order.
+TEST(AppInFlight, MatchesReferenceModel) {
+  const Topology topo = make_topo(3, 3);
+  const auto node_count = static_cast<std::uint64_t>(topo.node_count());
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::Simulation sim;
+    stats::Registry reg;
+    Network net(sim, topo, reg);
+    std::map<std::uint64_t, Envelope> model;  // MsgId -> live flight
+    for (std::uint32_t i = 0; i < node_count; ++i) {
+      net.attach(NodeId{i}, [&model](const Envelope& env) {
+        ASSERT_EQ(model.erase(env.id.v), 1u);
+      });
+    }
+    RngStream rng(seed, 5);
+    const auto node = [&] {
+      return NodeId{static_cast<std::uint32_t>(rng.next_below(node_count))};
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < 45) {
+        Envelope env;
+        env.src = node();
+        do {
+          env.dst = node();
+        } while (env.dst == env.src);
+        env.cls = rng.next_below(3) == 0 ? MsgClass::kControl : MsgClass::kApp;
+        env.payload_bytes = rng.next_below(2000);
+        Envelope copy = env;
+        copy.id = net.send(std::move(env));
+        copy.src_cluster = topo.cluster_of(copy.src);
+        copy.dst_cluster = topo.cluster_of(copy.dst);
+        model.emplace(copy.id.v, copy);
+      } else if (kind < 75) {
+        sim.run_until(sim.now() +
+                      microseconds(static_cast<std::int64_t>(
+                          rng.next_below(300))));
+      } else if (kind < 85) {
+        net.set_node_down(node());
+      } else if (kind < 95) {
+        net.set_node_up(node());
+      } else {
+        const ClusterId c{static_cast<std::uint32_t>(
+            rng.next_below(topo.cluster_count()))};
+        const auto pred = [c](const Envelope& e) { return e.dst_cluster == c; };
+        const std::size_t expect = std::erase_if(
+            model, [&pred](const auto& kv) { return pred(kv.second); });
+        ASSERT_EQ(net.drop_in_flight(pred), expect) << "op " << op;
+      }
+      if (HasFailure()) return;
+
+      ASSERT_EQ(net.in_flight_count(), model.size()) << "op " << op;
+      for (std::uint32_t c = 0; c < topo.cluster_count(); ++c) {
+        std::vector<std::uint64_t> want;
+        for (const auto& [id, e] : model) {
+          if (e.cls == MsgClass::kApp && e.src_cluster == ClusterId{c}) {
+            want.push_back(id);
+          }
+        }
+        std::vector<std::uint64_t> got;
+        for (const Envelope& e : net.app_in_flight(ClusterId{c})) {
+          got.push_back(e.id.v);
+        }
+        ASSERT_EQ(got, want) << "op " << op << " cluster " << c;
+      }
+    }
+  }
 }
 
 TEST_F(NetworkTest, DropInFlightCancelsDelivery) {
