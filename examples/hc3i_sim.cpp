@@ -47,6 +47,7 @@
 //                     -> treatment -> display on three 32-node clusters
 
 #include <cstdio>
+#include <string>
 
 #include "config/parser.hpp"
 #include "driver/report.hpp"
@@ -57,6 +58,20 @@
 #include "util/quantity.hpp"
 
 using namespace hc3i;
+
+namespace {
+
+/// False, with the one-line message, when `path` is set but cannot be
+/// opened for writing.  Opens without truncating: the run writes the file.
+bool writable(const std::string& path) {
+  if (path.empty()) return true;
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f != nullptr && std::fclose(f) == 0) return true;
+  std::fprintf(stderr, "hc3i_sim: cannot write %s\n", path.c_str());
+  return false;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -132,6 +147,10 @@ int main(int argc, char** argv) {
     } else if (!metrics_out.empty()) {
       opts.metrics_interval = seconds(30);
     }
+
+    // Open both outputs before the run, so an unwritable path costs no
+    // simulation.
+    if (!writable(trace_out) || !writable(metrics_out)) return 2;
 
     const driver::RunResult result = driver::run_simulation(opts);
     if (result.obs != nullptr) {

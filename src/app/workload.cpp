@@ -85,7 +85,7 @@ proto::AppSnapshot WorkloadNode::snapshot() const {
   snap.virtual_work = virtual_work_;
   snap.state_bytes = owner_.app_.state_bytes;
   snap.delta_bytes = snap.state_bytes;  // pure read: a full image
-  snap.opaque = {received_};
+  snap.opaque = received_;
   return snap;
 }
 
@@ -109,7 +109,7 @@ void WorkloadNode::restore(const proto::AppSnapshot& snap) {
   freeze();
   progress_ = snap.progress;
   virtual_work_ = snap.virtual_work;
-  received_ = snap.opaque.empty() ? 0 : snap.opaque[0];
+  received_ = snap.opaque;
   // The restored image is the new baseline: the next storage capture must
   // be a full one regardless of the requested mode.
   region_.reset_base();

@@ -81,7 +81,7 @@ void GlobalAgent::begin_round() {
   round_active_ = true;
   round_ = next_round_++;
   round_started_ = now();
-  parts_.assign(ctx_.topology->node_count(), std::nullopt);
+  acked_.assign(ctx_.topology->node_count(), false);
   acks_received_ = 0;
   auto req = proto::make_pooled<GReq>();
   req->round = round_;
@@ -106,7 +106,7 @@ void GlobalAgent::handle_req(const GReq& m) {
   if (rt_.hierarchical() && is_cluster_coordinator() && m.round != cluster_round_) {
     // Relay into the cluster, then take our own tentative checkpoint.
     cluster_round_ = m.round;
-    cluster_parts_.assign(ctx_.topology->cluster_size(cluster()), std::nullopt);
+    cluster_acked_.assign(ctx_.topology->cluster_size(cluster()), false);
     cluster_acks_ = 0;
     auto req = proto::make_pooled<GReq>();
     req->round = m.round;
@@ -125,7 +125,6 @@ void GlobalAgent::take_tentative(std::uint64_t round) {
   ack->round = round;
   ack->inc = inc_;
   ack->node = self();
-  ack->part = *tentative_;
   const NodeId target = rt_.hierarchical() ? coordinator_of(cluster())
                                            : NodeId{0};
   send_control_or_local(target, kCtl, std::move(ack));
@@ -139,34 +138,31 @@ void GlobalAgent::handle_ack(const GAck& m) {
     // resulting GClusterAck as the global coordinator).
     if (m.round != cluster_round_) return;
     const std::uint32_t idx = local_index(m.node);
-    if (cluster_parts_[idx].has_value()) return;
-    cluster_parts_[idx] = m.part;
-    if (++cluster_acks_ < cluster_parts_.size()) return;
+    if (cluster_acked_[idx]) return;
+    cluster_acked_[idx] = true;
+    if (++cluster_acks_ < cluster_acked_.size()) return;
     auto cack = proto::make_pooled<GClusterAck>();
     cack->round = cluster_round_;
     cack->inc = inc_;
     cack->cluster = cluster();
-    cack->parts.reserve(cluster_parts_.size());
-    for (auto& p : cluster_parts_) cack->parts.push_back(std::move(*p));
     send_control_or_local(NodeId{0}, kCtl, std::move(cack));
     return;
   }
   // Flat mode, at the global coordinator.
   if (!round_active_ || m.round != round_) return;
-  if (parts_[m.node.v].has_value()) return;
-  parts_[m.node.v] = m.part;
-  if (++acks_received_ == parts_.size()) commit_round();
+  if (acked_[m.node.v]) return;
+  acked_[m.node.v] = true;
+  if (++acks_received_ == acked_.size()) commit_round();
 }
 
 void GlobalAgent::handle_cluster_ack(const GClusterAck& m) {
   if (m.inc != inc_ || !round_active_ || m.round != round_) return;
   const std::uint32_t base = ctx_.topology->first_node(m.cluster).v;
-  if (parts_[base].has_value()) return;  // duplicate cluster ack
-  for (std::size_t i = 0; i < m.parts.size(); ++i) {
-    parts_[base + i] = m.parts[i];
-    ++acks_received_;
-  }
-  if (acks_received_ == parts_.size()) commit_round();
+  if (acked_[base]) return;  // duplicate cluster ack
+  const std::uint32_t nodes = ctx_.topology->cluster_size(m.cluster);
+  std::fill_n(acked_.begin() + base, nodes, true);
+  acks_received_ += nodes;
+  if (acks_received_ == acked_.size()) commit_round();
 }
 
 void GlobalAgent::commit_round() {
@@ -181,9 +177,13 @@ void GlobalAgent::commit_round() {
     rec.commit_time = now();
     rec.ledger_mark = mark;
     rec.forced = false;
+    // Every node acked, so every tentative part is captured: file them.
     const std::uint32_t base = ctx_.topology->first_node(cid).v;
     for (std::uint32_t i = 0; i < ctx_.topology->cluster_size(cid); ++i) {
-      rec.parts.push_back(std::move(*parts_[base + i]));
+      GlobalAgent& node = *rt_.agents()[base + i];
+      HC3I_CHECK(node.tentative_.has_value(), "commit without all parts");
+      rec.parts.push_back(std::move(*node.tentative_));
+      node.tentative_.reset();
     }
     rt_.store(cid).commit(std::move(rec));
     if (stat_clc_by_cluster_.size() <= c) {

@@ -91,13 +91,14 @@ class GlobalAgent final : public proto::AgentBase {
     std::uint64_t round{0};
     Incarnation inc{0};
   };
+  /// Tentative checkpoint taken; the part stays on the node until the
+  /// commit files it.
   struct GAck final : net::ControlPayload {
     static constexpr std::uint32_t kKind = 21;
     GAck() : ControlPayload(kKind) {}
     std::uint64_t round{0};
     Incarnation inc{0};
     NodeId node{};
-    proto::NodePart part;
   };
   /// Hierarchical mode: one aggregate ack per cluster.
   struct GClusterAck final : net::ControlPayload {
@@ -106,7 +107,6 @@ class GlobalAgent final : public proto::AgentBase {
     std::uint64_t round{0};
     Incarnation inc{0};
     ClusterId cluster{};
-    std::vector<proto::NodePart> parts;  ///< node order within the cluster
   };
   struct GCommit final : net::ControlPayload {
     static constexpr std::uint32_t kKind = 23;
@@ -139,13 +139,13 @@ class GlobalAgent final : public proto::AgentBase {
   // Global-coordinator round state (node 0 only).
   bool round_active_{false};
   std::uint64_t next_round_{1};
-  std::vector<std::optional<proto::NodePart>> parts_;  ///< all nodes
+  std::vector<bool> acked_;  ///< [node] acked this round
   std::size_t acks_received_{0};
   std::unique_ptr<sim::Timer> timer_;
   SimTime round_started_{};
 
   // Cluster-coordinator aggregation state (hierarchical mode).
-  std::vector<std::optional<proto::NodePart>> cluster_parts_;
+  std::vector<bool> cluster_acked_;  ///< [local index] acked this round
   std::size_t cluster_acks_{0};
   std::uint64_t cluster_round_{0};
 };

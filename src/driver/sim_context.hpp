@@ -19,10 +19,13 @@
 //     created once, read-only after).
 //   * shard-local, deliberately NOT atomic — everything a run mutates:
 //     the simulation kernel and its event queue, stats::Registry values,
-//     RNG streams, COW refcounts (proto::Ddv spills, LogImage/DedupImage
-//     buffers), and this context's payload arena.  None of these carry
-//     atomics or locks; isolation, not synchronisation, is the concurrency
-//     model, and the TSan CI job checks that claim.
+//     RNG streams, COW refcounts (proto::Ddv spills, and the RcBox blocks
+//     behind MsgLog/LogImage and DedupSet/DedupImage), and this context's
+//     payload arena.  None of these carry locks, and these refcounts are
+//     plain integers; isolation, not synchronisation, is the concurrency
+//     model, and the TSan CI job checks that claim.  (Control payloads
+//     still travel as std::shared_ptr, whose count is atomic; no payload
+//     crosses runs.)
 //
 // driver::run_simulation(opts) with no context constructs a private one per
 // run — solo behaviour is unchanged, and pool teardown happens at run end

@@ -13,8 +13,7 @@ using net::payload_as;
 
 Hc3iAgent::Hc3iAgent(const proto::AgentContext& ctx, Hc3iRuntime& rt)
     : AgentBase(ctx), rt_(rt),
-      ddv_(rt.cluster_count(), ctx.cluster, 0),
-      round_ddv_merge_(rt.cluster_count(), ctx.cluster, 0) {
+      ddv_(rt.cluster_count(), ctx.cluster, 0) {
   log_.attach_tally(&rt.log_tally(ctx.cluster));
   // known_rollbacks_ stays empty (size 0) until the first alert arrives:
   // failure-free runs — and most nodes of any run — never pay its per-node
@@ -316,9 +315,8 @@ void Hc3iAgent::coordinator_begin_round(RoundReason reason) {
   round_active_ = true;
   round_reason_ = reason;
   active_round_id_ = next_round_++;
-  parts_.assign(ctx_.topology->cluster_size(cluster()), std::nullopt);
+  acked_.assign(ctx_.topology->cluster_size(cluster()), false);
   acks_received_ = 0;
-  round_ddv_merge_ = ddv_;
   auto req = proto::make_pooled<ClcRequest>();
   req->round = active_round_id_;
   req->inc = inc_;
@@ -416,8 +414,6 @@ void Hc3iAgent::send_phase1_ack() {
   ack->round = round_;
   ack->inc = inc_;
   ack->node = self();
-  ack->part = *tentative_;
-  ack->node_ddv = ddv_;
   send_control_or_local(coordinator_of(cluster()), ControlSizes::kSmall,
                         std::move(ack));
 }
@@ -425,25 +421,30 @@ void Hc3iAgent::send_phase1_ack() {
 void Hc3iAgent::handle_clc_ack(const ClcAck& m) {
   if (m.inc != inc_ || !round_active_ || m.round != active_round_id_) return;
   const std::uint32_t idx = local_index(m.node);
-  HC3I_CHECK(idx < parts_.size(), "ClcAck from foreign node");
-  if (parts_[idx].has_value()) return;  // duplicate
-  parts_[idx] = m.part;
-  round_ddv_merge_.merge_max(m.node_ddv);
+  HC3I_CHECK(idx < acked_.size(), "ClcAck from foreign node");
+  if (acked_[idx]) return;  // duplicate
+  acked_[idx] = true;
   ++acks_received_;
   if (ProtocolObserver* ob = rt_.observer()) {
     // Phase-targeted fault injection observes the ack/commit window here.
     ob->on_phase1_ack(cluster(), active_round_id_,
                       static_cast<std::uint32_t>(acks_received_),
-                      static_cast<std::uint32_t>(parts_.size()));
+                      static_cast<std::uint32_t>(acked_.size()));
   }
   HC3I_OBS(ctx_.obs, obs::RecordKind::kClcAck, now(), cluster().v, m.node.v,
-           active_round_id_, acks_received_, parts_.size());
-  if (acks_received_ == parts_.size()) coordinator_commit_round();
+           active_round_id_, acks_received_, acked_.size());
+  if (acks_received_ == acked_.size()) coordinator_commit_round();
 }
 
 void Hc3iAgent::coordinator_commit_round() {
   const SeqNum new_sn = sn_ + 1;
-  proto::Ddv new_ddv = round_ddv_merge_;
+  const std::vector<Hc3iAgent*>& nodes = rt_.cluster_agents(cluster());
+  // The committed DDV is the max of the nodes' views.  Each node holds its
+  // deliveries from capture to commit, so its view now is the one it acked
+  // with; under HC3I every view is the last commit's shared block, and each
+  // merge returns at once.
+  proto::Ddv new_ddv = ddv_;
+  for (const Hc3iAgent* node : nodes) new_ddv.merge_max(node->ddv_);
   new_ddv.set(cluster(), new_sn);
   for (const auto& [c, s] : pending_raises_) {
     new_ddv.raise(ClusterId{c}, s);
@@ -463,10 +464,12 @@ void Hc3iAgent::coordinator_commit_round() {
   rec.commit_time = now();
   rec.ledger_mark = ctx_.ledger->mark();
   rec.forced = round_reason_ == RoundReason::kForced;
-  rec.parts.reserve(parts_.size());
-  for (auto& p : parts_) {
-    HC3I_CHECK(p.has_value(), "commit without all parts");
-    rec.parts.push_back(std::move(*p));
+  // Every node acked, so every tentative part is captured: file them.
+  rec.parts.reserve(nodes.size());
+  for (Hc3iAgent* node : nodes) {
+    HC3I_CHECK(node->tentative_.has_value(), "commit without all parts");
+    rec.parts.push_back(std::move(*node->tentative_));
+    node->tentative_.reset();
   }
   if (rt_.options().capture_channel_state) {
     // Channel state: intra-cluster application messages that are in the
@@ -713,17 +716,11 @@ void Hc3iAgent::apply_cluster_rollback(const proto::ClcRecord& rec,
   pending_raises_.clear();
   pending_merge_.reset();
   acks_received_ = 0;
-  // An incarnation bump mid-round aborts the round; no coordinator scratch
-  // from the undone epoch may survive it.  `parts_` holds tentative
-  // checkpoint images and `round_ddv_merge_` the DDV entries merged from
-  // its phase-1 acks — begin_round reinitialises both, and stale acks are
-  // filtered by (inc, round id), but clearing here releases the retained
-  // images immediately and makes "no stale merged entry can leak into a
-  // later round's committed DDV" hold by construction rather than by the
-  // interplay of three guards (regression: Rollback.FailureBetweenPhase1-
-  // AcksLeavesNoStaleDdv).
-  parts_.clear();
-  round_ddv_merge_ = ddv_;
+  // An incarnation bump mid-round aborts the round: its part and absorbed
+  // demands are dropped above, stale acks are filtered by (inc, round id),
+  // and a commit reads the nodes' DDVs only when it runs, so nothing of the
+  // undone epoch reaches a later committed DDV (regression:
+  // Rollback.FailureBetweenPhase1AcksLeavesNoStaleDdv).
   if (clc_timer_) clc_timer_->cancel();
   freeze_for_rollback(rec.parts[idx].app);
 }

@@ -164,6 +164,8 @@ class Hc3iAgent : public proto::AgentBase {
   /// are serialised, so at most one can be pending.
   std::optional<ClcRequest> pending_request_;
   std::uint32_t replica_acks_{0};
+  /// This node's part of the open round, from capture until the
+  /// coordinator's commit files it (the ack carries no copy).
   std::optional<proto::NodePart> tentative_;
   std::optional<std::uint32_t> lost_memory_idx_;  ///< failed node (this fault)
 
@@ -184,8 +186,7 @@ class Hc3iAgent : public proto::AgentBase {
   RoundReason round_reason_{RoundReason::kInitial};
   std::map<std::uint32_t, SeqNum> pending_raises_;  ///< cluster -> demanded SN
   std::optional<proto::Ddv> pending_merge_;         ///< transitive extension
-  proto::Ddv round_ddv_merge_;              ///< max of node DDVs this round
-  std::vector<std::optional<proto::NodePart>> parts_;
+  std::vector<bool> acked_;                 ///< [local index] acked this round
   std::size_t acks_received_{0};
   std::unique_ptr<sim::Timer> clc_timer_;
 

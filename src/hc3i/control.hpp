@@ -56,18 +56,16 @@ struct ReplicaAck final : net::ControlPayload {
 };
 
 /// Node -> coordinator: local checkpoint + replica done (2PC phase 1 ack).
-/// Carries the node's tentative checkpoint part (simulator-level shortcut
-/// for the part staying on the node; only metadata travels for real) and
-/// the node's DDV view (identical cluster-wide under HC3I; per-node under
-/// the independent baseline, merged by max at commit).
+/// Only the acknowledgement travels (paper §3.1): the node's tentative
+/// part stays on the node until the commit files it, and the commit merges
+/// the nodes' DDV views in place (identical cluster-wide under HC3I;
+/// per-node under the independent baseline).
 struct ClcAck final : net::ControlPayload {
     static constexpr std::uint32_t kKind = 4;
     ClcAck() : ControlPayload(kKind) {}
   std::uint64_t round{0};
   Incarnation inc{0};
   NodeId node{};
-  proto::NodePart part;
-  proto::Ddv node_ddv;
 };
 
 /// Coordinator -> cluster: commit the CLC (2PC phase 2). Carries the new

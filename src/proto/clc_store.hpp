@@ -31,6 +31,9 @@ struct NodePart {
   LogImage log;                           ///< sender log at capture (shared
                                           ///< copy-on-write snapshot)
 };
+// A retained CLC holds one part per node: at the 10x100 pre-GC peak that
+// is ~200 000 parts, so each byte here is ~0.2 MB of peak RSS.
+static_assert(sizeof(NodePart) <= 64, "NodePart grew past 64 bytes");
 
 /// One committed cluster-level checkpoint.
 struct ClcRecord {

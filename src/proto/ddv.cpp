@@ -19,16 +19,19 @@ Ddv::Ddv(std::size_t clusters, ClusterId self, SeqNum own_sn) : inline_{} {
 
 void Ddv::merge_max(const Ddv& other) {
   HC3I_CHECK(other.size() == size(), "Ddv::merge_max: size mismatch");
+  // One shared block: nothing can rise.  Under HC3I every node of a cluster
+  // holds the committed block, so the commit's merge over the cluster's
+  // nodes costs O(1) per node.
+  if (shares_storage_with(other)) return;
   // Find the first entry that will actually rise before touching the COW
-  // barrier: under HC3I every node of a cluster acks the same DDV, so the
-  // common case is "nothing to merge" and must stay write-free.
+  // barrier: the common case is "nothing to merge" and must stay
+  // write-free.
   const SeqNum* theirs = other.data();
   const SeqNum* ours = data();
   std::size_t i = 0;
   while (i < size_ && theirs[i] <= ours[i]) ++i;
   if (i == size_) return;
-  // `theirs` stays valid across the detach: if the blocks were shared, the
-  // early scan above would have found nothing to raise.
+  // `theirs` stays valid across the detach: the blocks are not shared.
   SeqNum* w = mutable_data();
   for (; i < size_; ++i) w[i] = std::max(w[i], theirs[i]);
 }

@@ -7,11 +7,11 @@
 // the number of clusters in the federation, not the number of nodes."
 //
 // This is the protocol's central type: it lives in agent state, travels in
-// every phase-1 `ClcAck` and `ClcCommit`, is piggybacked on inter-cluster
-// application messages (transitive extension, paper §7), timestamps every
-// stored CLC, and is exchanged wholesale by the garbage collector.  A
-// heap-backed std::vector here meant one allocation per ack, per commit
-// fan-out copy, per piggyback and per GC metadata copy.
+// every `ClcCommit`, is piggybacked on inter-cluster application messages
+// (transitive extension, paper §7), timestamps every stored CLC, and is
+// exchanged wholesale by the garbage collector.  A heap-backed std::vector
+// here meant one allocation per commit fan-out copy, per piggyback and per
+// GC metadata copy.
 //
 // Storage is therefore inline-small with a refcounted spill, unified from
 // the former net::SmallDdv (which this type replaces): up to kInlineEntries
@@ -22,7 +22,7 @@
 // mutator that will actually write detaches a shared spill block first, and
 // a no-op mutator (raising to a lower value, setting the current value,
 // merging an entry-wise-dominated vector) must not pay the copy.  That is
-// what lets one representation flow from agent state into acks, committed
+// what lets one representation flow from agent state into commits, committed
 // records, piggybacks and GC metadata by plain assignment: in-flight
 // snapshots stay frozen because the writer detaches, not the readers.
 //
@@ -129,7 +129,8 @@ class Ddv {
   }
 
   /// Merge: entry-wise maximum with another vector of the same size.
-  /// Used by the transitive-piggybacking extension (paper §7).
+  /// O(1) when both share one spill block.  Used by the CLC commit (the
+  /// cluster's node views) and the transitive extension (paper §7).
   void merge_max(const Ddv& other);
 
   /// Number of entries (== number of clusters).

@@ -13,14 +13,16 @@
 // immutable, sorted DedupImage, built at most once per mutation epoch.  A
 // node whose delivered-set did not change between two CLCs (every node that
 // receives no inter-cluster traffic — most of a 1000-node federation) pays
-// a refcount bump per checkpoint, and copying a part (phase-1 acks,
-// committed records) never copies the underlying entries.
+// a refcount bump per checkpoint, and copying a part never copies the
+// underlying entries.  The handle is one pointer (RcBox): a retained CLC
+// keeps one image per node.
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
+
+#include "util/rc_box.hpp"
 
 namespace hc3i::proto {
 
@@ -41,15 +43,15 @@ class DedupImage {
   /// True when two images share one backing buffer (tests assert the
   /// capture-twice-without-mutation case stays shared).
   bool shares_storage_with(const DedupImage& o) const {
-    return data_ != nullptr && data_ == o.data_;
+    return data_.shares_with(o.data_);
   }
 
  private:
   friend class DedupSet;
-  explicit DedupImage(std::shared_ptr<const std::vector<std::uint64_t>> d)
+  explicit DedupImage(RcBox<std::vector<std::uint64_t>> d)
       : data_(std::move(d)) {}
 
-  std::shared_ptr<const std::vector<std::uint64_t>> data_;
+  RcBox<std::vector<std::uint64_t>> data_;
 };
 
 /// The live, hashed delivered-app_seq set of one node.
@@ -73,8 +75,8 @@ class DedupSet {
   DedupImage capture() const {
     if (set_.empty()) return DedupImage{};
     if (!image_) {
-      auto sorted = std::make_shared<std::vector<std::uint64_t>>(set_.begin(),
-                                                                 set_.end());
+      auto sorted =
+          RcBox<std::vector<std::uint64_t>>::make(set_.begin(), set_.end());
       std::sort(sorted->begin(), sorted->end());
       image_ = std::move(sorted);
     }
@@ -96,7 +98,7 @@ class DedupSet {
   std::unordered_set<std::uint64_t> set_;
   /// Cached sorted image; null means stale (a mutation happened since the
   /// last capture).  Mutable: capture() is logically const.
-  mutable std::shared_ptr<const std::vector<std::uint64_t>> image_;
+  mutable RcBox<std::vector<std::uint64_t>> image_;
 };
 
 }  // namespace hc3i::proto

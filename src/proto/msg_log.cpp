@@ -8,14 +8,13 @@ namespace hc3i::proto {
 
 void MsgLog::detach() {
   // Null storage means "empty": a mutator about to write needs a buffer.
-  // Otherwise use_count > 1 means a captured LogImage (or a log restored
-  // from one) still references the buffer; clone before mutating so the
-  // image stays frozen at its capture state.  Single-threaded use_count is
-  // exact.
+  // Otherwise a shared buffer means a captured LogImage (or a log restored
+  // from one) still references it; clone before mutating so the image
+  // stays frozen at its capture state.
   if (!entries_) {
-    entries_ = std::make_shared<std::vector<LogEntry>>();
-  } else if (entries_.use_count() > 1) {
-    entries_ = std::make_shared<std::vector<LogEntry>>(*entries_);
+    entries_ = RcBox<std::vector<LogEntry>>::make();
+  } else if (!entries_.unique()) {
+    entries_ = RcBox<std::vector<LogEntry>>::make(*entries_);
   }
 }
 
@@ -120,7 +119,7 @@ void MsgLog::restore(const LogImage& image) {
   // Adopt the shared buffer (or the empty state); detach() protects the
   // image (and any other adopter) if this log mutates later.
   const std::size_t before = size(), unacked_before = unacked_;
-  entries_ = std::const_pointer_cast<std::vector<LogEntry>>(image.data_);
+  entries_ = image.data_;
   settle(before, unacked_before);
 }
 

@@ -13,11 +13,11 @@
 // pre-rollback incarnation with ack SN >= restored_sn.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "net/message.hpp"
 #include "util/ids.hpp"
+#include "util/rc_box.hpp"
 
 namespace hc3i::proto {
 
@@ -35,8 +35,9 @@ struct LogEntry {
 /// live MsgLog copies that storage lazily before its next mutation
 /// (copy-on-write).  A node whose log did not change between two CLCs —
 /// the common case for the many nodes that never send inter-cluster —
-/// therefore pays nothing per checkpoint, and copying an image (phase-1
-/// acks carry one per node per round) is a refcount bump, not a deep copy.
+/// therefore pays nothing per checkpoint, and copying an image is a
+/// refcount bump, not a deep copy.  The handle is one pointer (RcBox): a
+/// retained CLC keeps one image per node.
 class LogImage {
  public:
   LogImage() = default;
@@ -51,15 +52,14 @@ class LogImage {
   /// True when two images share one backing buffer (tests assert the
   /// capture-twice-without-mutation case stays shared).
   bool shares_storage_with(const LogImage& o) const {
-    return data_ != nullptr && data_ == o.data_;
+    return data_.shares_with(o.data_);
   }
 
  private:
   friend class MsgLog;
-  explicit LogImage(std::shared_ptr<const std::vector<LogEntry>> d)
-      : data_(std::move(d)) {}
+  explicit LogImage(RcBox<std::vector<LogEntry>> d) : data_(std::move(d)) {}
 
-  std::shared_ptr<const std::vector<LogEntry>> data_;
+  RcBox<std::vector<LogEntry>> data_;
 };
 
 /// Running entry counts summed over several logs.  Hc3iRuntime keeps one
@@ -141,12 +141,12 @@ class MsgLog {
   // always sorted by env.id and record_ack() can binary-search instead of
   // scanning.
   //
-  // The vector lives behind a shared_ptr so capture() can freeze it by
+  // The vector lives in a refcounted box so capture() can freeze it by
   // sharing; every mutator calls detach() first, which clones only while a
   // capture is alive.  Null means "never logged anything" — most nodes of a
   // large federation never send inter-cluster, and their logs (and every
   // capture of them) must not cost an allocation.
-  std::shared_ptr<std::vector<LogEntry>> entries_;
+  RcBox<std::vector<LogEntry>> entries_;
   std::size_t unacked_{0};
   LogTally* tally_{nullptr};
 };

@@ -12,7 +12,6 @@
 
 #include "net/message.hpp"
 #include "storage/state_region.hpp"
-#include "util/inline_vec.hpp"
 #include "util/time.hpp"
 
 namespace hc3i::proto {
@@ -32,12 +31,12 @@ struct AppSnapshot {
   /// True when this snapshot is a delta over the node's previous committed
   /// capture (restore must replay the chain back to the last full image).
   bool incremental{false};
-  /// Opaque application words (e.g. RNG state under the PWD assumption the
-  /// pessimistic-logging baseline needs; empty otherwise).  Inline storage:
-  /// snapshots are taken per node per CLC round and copied into acks and
-  /// committed records, and a heap vector here was one allocation per copy.
-  InlineVec<std::uint64_t, 4> opaque;
+  /// One opaque application word, restored as captured (the workload's
+  /// delivered-message count).
+  std::uint64_t opaque{0};
 };
+// Every retained CLC keeps one snapshot per node (proto::NodePart).
+static_assert(sizeof(AppSnapshot) <= 48, "AppSnapshot grew past 48 bytes");
 
 /// Per-process hooks the protocol layer drives. Implemented by the workload
 /// (src/app) and by test fixtures.

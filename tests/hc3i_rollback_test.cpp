@@ -224,9 +224,10 @@ TEST(Rollback, FailureDuringRoundAbortsIt) {
 TEST(Rollback, FailureBetweenPhase1AcksLeavesNoStaleDdv) {
   // Regression for the coordinator round-scratch lifecycle: a failure that
   // aborts a 2PC round between its phase-1 acks (incarnation bump
-  // mid-round) must not let the aborted round's merged DDV, absorbed
+  // mid-round) must not let the aborted round's DDV views, absorbed
   // demands or tentative parts leak into a later round's committed DDV
-  // (apply_cluster_rollback clears parts_/round_ddv_merge_/pending_*).
+  // (apply_cluster_rollback drops tentative_/pending_*, and the commit
+  // merges the nodes' DDVs as they stand at commit time).
   config::RunSpec spec = tiny_spec(2, 3);
   spec.application.state_bytes = 50 * 1024 * 1024;  // seconds-long phase 1
   MiniWorld w(spec, 3);

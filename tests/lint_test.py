@@ -156,6 +156,9 @@ class CheckPure(unittest.TestCase):
             "HC3I_CHECK(log_.erase(k) == 1, \"mutating call\");",
             "assert(v.push_back(1), true);",
             "HC3I_CHECK(rng.advance(2) != 0, \"rng state\");",
+            "HC3I_CHECK(obs::write_text_file(p, t));",
+            "HC3I_CHECK(out.write(buf, n), \"member write\");",
+            "HC3I_CHECK(std::exchange(flag, false), \"qualified mutator\");",
         ):
             active, _, _ = scan(snippet)
             self.assertIn("check-pure", rules_of(active), snippet)
@@ -169,6 +172,8 @@ class CheckPure(unittest.TestCase):
             "HC3I_CHECK(!arg.empty(), \"bare '--' is not a valid flag\");",
             "HC3I_CHECK(t >= now_, \"past (t=\" + to_string(t) + \")\");",
             "HC3I_CHECK(set.count(k) == 1, \"pure query\");",
+            "HC3I_CHECK(std::next(it) != end, \"pure iterator step\");",
+            "HC3I_CHECK(bytes_written(f) > 0, \"not a write* call\");",
         ):
             active, _, _ = scan(snippet)
             self.assertNotIn("check-pure", rules_of(active), snippet)

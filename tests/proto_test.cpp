@@ -169,6 +169,34 @@ TEST(MsgLog, BytesAccountsPayloadAndMetadata) {
   EXPECT_GT(log.bytes(), 100u);
 }
 
+TEST(MsgLog, CaptureStaysFrozenAcrossMutationAndRestore) {
+  MsgLog log;
+  log.add(inter_env(1, 1));
+  LogImage a = log.capture();
+  const LogImage copy = a;
+  EXPECT_TRUE(copy.shares_storage_with(a));  // a copy shares the block
+  const LogImage moved = std::move(a);
+  EXPECT_TRUE(moved.shares_storage_with(copy));
+  EXPECT_EQ(a.size(), 0u);  // a move empties its source
+  EXPECT_FALSE(a.shares_storage_with(copy));
+
+  log.record_ack(MsgId{1}, 3, 0);  // mutation after capture: detaches
+  log.add(inter_env(2, 1));
+  EXPECT_FALSE(log.capture().shares_storage_with(copy));
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_FALSE(copy.entries()[0].acked);  // the image stays frozen
+  EXPECT_EQ(log.unacked_count(), 1u);
+
+  // A log restored from the image adopts its block and detaches on write.
+  MsgLog restored;
+  restored.restore(copy);
+  EXPECT_TRUE(restored.capture().shares_storage_with(copy));
+  restored.record_ack(MsgId{1}, 4, 0);
+  EXPECT_FALSE(restored.capture().shares_storage_with(copy));
+  EXPECT_TRUE(restored.entries()[0].acked);
+  EXPECT_FALSE(copy.entries()[0].acked);
+}  // every holder released here: ASan reports a block the count leaked
+
 // ---------------------------------------------------------------------------
 // ClcStore
 // ---------------------------------------------------------------------------

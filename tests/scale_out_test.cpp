@@ -1,7 +1,8 @@
 // Scale-out regime tests: the sparse pair census (vs a dense reference,
 // including node up/down churn), pooled control payloads (recycling without
 // aliasing), the compressed GC metadata codec (round trip), the dedup-set
-// copy-on-write capture, and a 10-cluster end-to-end smoke run.
+// copy-on-write capture and its refcounted box, and a 10-cluster end-to-end
+// smoke run.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "proto/payload_pool.hpp"
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
+#include "util/rc_box.hpp"
 #include "util/rng.hpp"
 
 namespace hc3i {
@@ -331,6 +333,54 @@ TEST(DedupSet, RestoreAdoptsImageStorage) {
   EXPECT_FALSE(restored.contains(3));
   // Adoption: the next capture shares the checkpoint's buffer (O(1)).
   EXPECT_TRUE(restored.capture().shares_storage_with(checkpoint));
+}
+
+TEST(DedupSet, ImageCopiesShareAndMovesEmptyTheSource) {
+  proto::DedupSet set;
+  set.insert(7);
+  proto::DedupImage a = set.capture();
+  const proto::DedupImage copy = a;
+  EXPECT_TRUE(copy.shares_storage_with(a));  // a copy shares the block
+  const proto::DedupImage moved = std::move(a);
+  EXPECT_TRUE(moved.shares_storage_with(copy));
+  EXPECT_EQ(a.size(), 0u);  // a move empties its source
+  EXPECT_FALSE(a.shares_storage_with(copy));
+  set.insert(8);  // mutation after capture: the next capture is fresh...
+  EXPECT_FALSE(set.capture().shares_storage_with(copy));
+  // ...and the images stay frozen.
+  EXPECT_EQ(copy.entries(), std::vector<std::uint64_t>{7});
+  EXPECT_EQ(moved.entries(), std::vector<std::uint64_t>{7});
+}
+
+TEST(RcBox, LastReleaseFreesTheBlock) {
+  struct Tracked {
+    explicit Tracked(int* counter) : alive(counter) { ++*alive; }
+    Tracked(const Tracked&) = delete;
+    ~Tracked() { --*alive; }
+    int* alive;
+  };
+  int alive = 0;
+  {
+    auto a = RcBox<Tracked>::make(&alive);
+    EXPECT_EQ(alive, 1);
+    EXPECT_TRUE(a.unique());
+    RcBox<Tracked> b = a;
+    EXPECT_TRUE(b.shares_with(a));
+    EXPECT_EQ(a.use_count(), 2u);
+    RcBox<Tracked> c = std::move(a);
+    EXPECT_FALSE(a);  // a move empties its source
+    EXPECT_EQ(c.use_count(), 2u);
+    b = b;  // self-assignment keeps the reference
+    EXPECT_EQ(c.use_count(), 2u);
+    b.reset();
+    EXPECT_TRUE(c.unique());
+    EXPECT_EQ(alive, 1);  // one holder left
+    b = c;
+    c = RcBox<Tracked>{};
+    EXPECT_EQ(alive, 1);
+    EXPECT_EQ(b->alive, &alive);
+  }
+  EXPECT_EQ(alive, 0);  // the last release freed the value
 }
 
 // ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class ScriptedApp final : public proto::AppHandle {
     // silently mis-sized all storage accounting).
     snap.state_bytes = state_bytes;
     snap.delta_bytes = state_bytes;
-    snap.opaque = {delivered_count};
+    snap.opaque = delivered_count;
     return snap;
   }
   void freeze() override { frozen = true; }
@@ -53,7 +53,7 @@ class ScriptedApp final : public proto::AppHandle {
     frozen = false;
     progress = snap.progress;
     virtual_work = snap.virtual_work;
-    delivered_count = snap.opaque.empty() ? 0 : snap.opaque[0];
+    delivered_count = snap.opaque;
     ++restore_count;
   }
   void deliver(const net::Envelope& env) override {

@@ -293,9 +293,16 @@ MUTATING_CALLS = (
     "resize", "assign", "exchange", "swap", "advance", "consume",
     "commit", "install", "schedule", "cancel", "send", "deliver",
 )
+# Member calls of the curated names and prefixes; qualified free calls
+# (`ns::name(`) of the curated names; and any write* call, free or member
+# (`obs::write_text_file(...)` inside a check would skip the write under
+# HC3I_DISABLE_CHECKS).  The prefixes stay member-only: `std::next(it)` is
+# pure.
 MUTATING_CALL_RE = re.compile(
-    r"(?:\.|->)\s*(?:" + "|".join(MUTATING_CALLS) + r"|set_\w+|add_\w+"
-    r"|fetch_\w+|mark_\w+|bump\w*|next\w*)\s*\(")
+    r"(?:(?:\.|->)\s*(?:" + "|".join(MUTATING_CALLS) + r"|set_\w+|add_\w+"
+    r"|fetch_\w+|mark_\w+|bump\w*|next\w*)"
+    r"|::\s*(?:" + "|".join(MUTATING_CALLS) + r")"
+    r"|\bwrite\w*)\s*\(")
 CHECK_HEAD_RE = re.compile(r"\b(?:HC3I_CHECK|assert)\s*\(")
 
 # Trace emission: a member emit(...) call (the only emit-named member in
