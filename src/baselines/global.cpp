@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "proto/payload_pool.hpp"
+#include "proto/recovery_line.hpp"
 
 namespace hc3i::baselines {
 
@@ -19,14 +20,6 @@ using net::payload_as;
 GlobalRuntime::GlobalRuntime(const config::RunSpec& spec, bool hierarchical)
     : spec_(spec), hierarchical_(hierarchical) {
   spec_.validate();
-  const std::size_t n = spec_.topology.cluster_count();
-  stores_.reserve(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    const std::uint32_t nodes = spec_.topology.clusters[c].nodes;
-    stores_.push_back(std::make_unique<proto::ClcStore>(
-        ClusterId{static_cast<std::uint32_t>(c)}, nodes,
-        nodes > 1 ? 1u : 0u));
-  }
 }
 
 proto::AgentFactory GlobalRuntime::factory() {
@@ -35,16 +28,6 @@ proto::AgentFactory GlobalRuntime::factory() {
     agents_.push_back(agent.get());
     return agent;
   };
-}
-
-void GlobalRuntime::set_channel(SeqNum sn, std::vector<net::Envelope> channel) {
-  channels_[sn] = std::move(channel);
-}
-
-const std::vector<net::Envelope>& GlobalRuntime::channel(SeqNum sn) const {
-  static const std::vector<net::Envelope> kEmpty;
-  const auto it = channels_.find(sn);
-  return it == channels_.end() ? kEmpty : it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -168,7 +151,9 @@ void GlobalAgent::handle_cluster_ack(const GClusterAck& m) {
 void GlobalAgent::commit_round() {
   const SeqNum new_sn = sn_ + 1;
   const std::uint64_t mark = ctx_.ledger->mark();
-  // One record per cluster, all with the global SN.
+  // One record per cluster, all with the global SN; they replace the
+  // previous global checkpoint.
+  rt_.latest_.resize(rt_.cluster_count());
   for (std::size_t c = 0; c < rt_.cluster_count(); ++c) {
     const ClusterId cid{static_cast<std::uint32_t>(c)};
     proto::ClcRecord rec;
@@ -185,7 +170,7 @@ void GlobalAgent::commit_round() {
       rec.parts.push_back(std::move(*node.tentative_));
       node.tentative_.reset();
     }
-    rt_.store(cid).commit(std::move(rec));
+    rt_.latest_[c] = std::move(rec);
     if (stat_clc_by_cluster_.size() <= c) {
       stat_clc_by_cluster_.resize(rt_.cluster_count(), {nullptr, nullptr});
     }
@@ -212,7 +197,7 @@ void GlobalAgent::commit_round() {
   for (const GlobalAgent* a : rt_.agents()) {
     channel.insert(channel.end(), a->deferred_.begin(), a->deferred_.end());
   }
-  rt_.set_channel(new_sn, std::move(channel));
+  rt_.latest_channel_ = std::move(channel);
 
   named_summary(stat_freeze_, "global.freeze_s")
       .add((now() - round_started_).seconds());
@@ -263,8 +248,9 @@ void GlobalAgent::app_send(NodeId dst, std::uint64_t bytes,
 void GlobalAgent::on_message(const net::Envelope& env) {
   if (env.cls == net::MsgClass::kApp) {
     // Stale pre-rollback traffic: whole-federation rollbacks undo every
-    // send newer than the restored checkpoint.
-    if (env.piggy.incarnation < inc_ && env.piggy.sn >= sn_) {
+    // send at or after the restored checkpoint.
+    if (proto::undone_by_rollback(env.piggy.sn, env.piggy.incarnation, sn_,
+                                  inc_)) {
       count_stale_drop();
       return;
     }
@@ -287,8 +273,7 @@ void GlobalAgent::on_failure_detected(NodeId failed) {
 
 void GlobalAgent::global_rollback(ClusterId fault_cluster) {
   const Incarnation new_inc = rt_.bump_incarnation();
-  HC3I_CHECK(!rt_.store(ClusterId{0}).empty(), "no global checkpoint");
-  const SeqNum target_sn = rt_.store(ClusterId{0}).last().sn;
+  HC3I_CHECK(!rt_.latest_.empty(), "no global checkpoint");
 
   // Everything in flight belongs to the undone epoch.
   ctx_.network->drop_in_flight(
@@ -296,8 +281,7 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
 
   for (std::size_t c = 0; c < rt_.cluster_count(); ++c) {
     const ClusterId cid{static_cast<std::uint32_t>(c)};
-    const proto::ClcRecord& rec = rt_.store(cid).last();
-    HC3I_CHECK(rec.sn == target_sn, "global stores out of sync");
+    const proto::ClcRecord& rec = rt_.latest_[c];
     ctx_.ledger->undo_after(cid, rec.ledger_mark);
     count_rollback(ctx_.topology->cluster_size(cid), sn_, rec.sn);
     const std::uint32_t base = ctx_.topology->first_node(cid).v;
@@ -317,13 +301,10 @@ void GlobalAgent::global_rollback(ClusterId fault_cluster) {
     const ClusterId cid{static_cast<std::uint32_t>(c)};
     delay = std::max(delay, config::state_transfer_time(rt_.spec(), cid));
   }
-  ctx_.sim->schedule_after(delay, [this, new_inc, target_sn] {
+  ctx_.sim->schedule_after(delay, [this, new_inc] {
     if (inc_ != new_inc) return;
-    for (GlobalAgent* a : rt_.agents()) {
-      const ClusterId cid = a->cluster();
-      a->resume(rt_.store(cid).last());
-    }
-    for (const net::Envelope& env : rt_.channel(target_sn)) {
+    for (GlobalAgent* a : rt_.agents()) a->resume(rt_.latest_[a->cluster().v]);
+    for (const net::Envelope& env : rt_.latest_channel_) {
       rt_.agents()[env.dst.v]->on_message(env);
     }
     // Every cluster resumed at the latest incarnation: this completes each

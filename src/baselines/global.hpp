@@ -18,7 +18,6 @@
 // The ablation bench contrasts: freeze time per checkpoint, WAN control
 // bytes, clusters rolled back per failure, rollback depth.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -44,13 +43,6 @@ class GlobalRuntime {
   const config::RunSpec& spec() const { return spec_; }
   std::size_t cluster_count() const { return spec_.topology.cluster_count(); }
 
-  /// Per-cluster stores of the global checkpoints (same SN everywhere).
-  proto::ClcStore& store(ClusterId c) { return *stores_[c.v]; }
-
-  /// Global channel state captured with checkpoint `sn`.
-  void set_channel(SeqNum sn, std::vector<net::Envelope> channel);
-  const std::vector<net::Envelope>& channel(SeqNum sn) const;
-
   Incarnation incarnation() const { return inc_; }
   Incarnation bump_incarnation() { return ++inc_; }
 
@@ -60,8 +52,12 @@ class GlobalRuntime {
   friend class GlobalAgent;
   config::RunSpec spec_;
   bool hierarchical_;
-  std::vector<std::unique_ptr<proto::ClcStore>> stores_;
-  std::map<SeqNum, std::vector<net::Envelope>> channels_;
+  /// The latest global checkpoint — one record per cluster, all with the
+  /// same SN (empty before the first commit) — and the global channel
+  /// state captured with it.  A failure always restores the latest one, so
+  /// nothing older is kept.
+  std::vector<proto::ClcRecord> latest_;
+  std::vector<net::Envelope> latest_channel_;
   Incarnation inc_{0};
   std::vector<GlobalAgent*> agents_;  ///< all nodes, in node order
 };

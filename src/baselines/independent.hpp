@@ -17,6 +17,8 @@
 // Garbage collection is unsupported (the recovery-line bound of paper §3.5
 // relies on DDVs only changing at commits); the driver enforces that.
 
+#include <algorithm>
+
 #include "hc3i/agent.hpp"
 
 namespace hc3i::baselines {
@@ -35,18 +37,19 @@ class IndependentAgent final : public core::Hc3iAgent {
     ddv_.raise(env.src_cluster, env.piggy.sn);
   }
 
-  bool decide_needs_rollback(ClusterId f, SeqNum restored_sn) const override {
-    // Per-node DDVs diverge between commits, so the cluster-wide decision
-    // needs the max over nodes (a real implementation would gather this
-    // with an intra-cluster query; the simulator reads it directly).
-    for (const core::Hc3iAgent* a : rt_.cluster_agents(cluster())) {
-      if (a->ddv().at(f) >= restored_sn) return true;
-    }
-    return false;
-  }
-
-  const proto::ClcRecord* find_rollback_target(
+  const proto::ClcRecord* rollback_target(
       ClusterId f, SeqNum restored_sn) const override {
+    // Per-node DDVs diverge between commits, so the cluster-wide test
+    // needs the max over nodes (a real implementation would gather this
+    // with an intra-cluster query; the simulator reads it directly).  As
+    // under HC3I, an alert naming SN 0 only replays logged messages.
+    const auto& nodes = rt_.cluster_agents(cluster());
+    if (restored_sn == 0 ||
+        std::none_of(nodes.begin(), nodes.end(), [&](const Hc3iAgent* a) {
+          return a->ddv().at(f) >= restored_sn;
+        })) {
+      return nullptr;
+    }
     // Without forcing, a CLC whose entry for f is >= restored_sn may
     // *contain* undone deliveries, so the only safe target is the newest
     // CLC that provably precedes them: ddv[f] < restored_sn.
@@ -54,7 +57,9 @@ class IndependentAgent final : public core::Hc3iAgent {
     for (const proto::ClcRecord& rec : rt_.store(cluster()).records()) {
       if (rec.ddv.at(f) < restored_sn) best = &rec;
     }
-    return best;  // the initial CLC always qualifies (ddv[f] == 0)
+    HC3I_CHECK(best != nullptr,  // the initial CLC has ddv[f] == 0
+               "no rollback target: no CLC precedes the undone epoch");
+    return best;
   }
 };
 

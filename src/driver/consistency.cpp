@@ -54,8 +54,8 @@ void append_cluster_agreement_violations(const core::Hc3iRuntime& rt,
 
   // In failure-free runs, no cluster can have observed an SN the sender
   // never committed: DDV_j[i] <= SN_i.  (After rollbacks this bound can
-  // transiently overshoot by design — see DESIGN.md §3 — so it is only
-  // checked when no rollback happened.)
+  // transiently overshoot by design — see proto::rollback_target — so it is
+  // only checked when no rollback happened.)
   if (expect_ddv_agreement && rt.fed_rollback_epoch() == 0) {
     for (std::size_t j = 0; j < rt.cluster_count(); ++j) {
       const auto& agents = rt.cluster_agents(ClusterId{static_cast<std::uint32_t>(j)});

@@ -1,9 +1,11 @@
 #include "hc3i/agent.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/trace.hpp"
 #include "proto/payload_pool.hpp"
+#include "proto/recovery_line.hpp"
 
 namespace hc3i::core {
 
@@ -69,16 +71,10 @@ void Hc3iAgent::on_inter_delivered(const net::Envelope&) {
   // happens at delivery time.
 }
 
-bool Hc3iAgent::decide_needs_rollback(ClusterId f, SeqNum restored_sn) const {
-  return ddv_.at(f) >= restored_sn;
-}
-
-const proto::ClcRecord* Hc3iAgent::find_rollback_target(
-    ClusterId f, SeqNum restored_sn) const {
-  // Paper §3.4: "rollback to the first (the older) CLC which has its DDV
-  // entry corresponding to the faulty cluster greater than or equal to the
-  // received SN" — that forced CLC precedes the first undone delivery.
-  return store().oldest_with_dep_at_least(f, restored_sn);
+const proto::ClcRecord* Hc3iAgent::rollback_target(ClusterId f,
+                                                   SeqNum restored_sn) const {
+  return proto::rollback_target(std::span(store().records()), ddv_, f,
+                                restored_sn);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ void Hc3iAgent::on_message(const net::Envelope& env) {
 void Hc3iAgent::on_app_message(const net::Envelope& env) {
   if (!env.intra_cluster() && is_stale(env)) {
     // A pre-rollback message from an undone epoch of the sender; the new
-    // incarnation will re-send it (DESIGN.md §3.5).
+    // incarnation will re-send it (docs/paper_map.md, "Incarnations").
     count_stale_drop();
     return;
   }
@@ -201,15 +197,13 @@ void Hc3iAgent::on_control_message(const net::Envelope& env) {
 // ---------------------------------------------------------------------------
 
 bool Hc3iAgent::is_stale(const net::Envelope& env) const {
-  // Stale iff the sender cluster rolled back after the message was sent and
-  // the send belongs to an undone epoch (piggyback SN >= restored SN).
+  // Stale iff a known rollback of the sender cluster undid the send.
   if (known_rollbacks_.empty()) return false;  // no alert ever received
-  for (const RollbackInfo& rb : known_rollbacks_[env.src_cluster.v]) {
-    if (env.piggy.incarnation < rb.inc && env.piggy.sn >= rb.restored) {
-      return true;
-    }
-  }
-  return false;
+  const auto& rollbacks = known_rollbacks_[env.src_cluster.v];
+  return std::any_of(rollbacks.begin(), rollbacks.end(), [&](const auto& rb) {
+    return proto::undone_by_rollback(env.piggy.sn, env.piggy.incarnation,
+                                     rb.restored, rb.inc);
+  });
 }
 
 void Hc3iAgent::receive_inter_app(const net::Envelope& env) {
@@ -475,7 +469,7 @@ void Hc3iAgent::coordinator_commit_round() {
     // Channel state: intra-cluster application messages that are in the
     // network, parked, or held in a node's deferred queue at this instant.
     // (A real implementation gathers the same set with flush markers over
-    // the FIFO SAN; see DESIGN.md §3.)
+    // the FIFO SAN; see docs/paper_map.md.)
     const ClusterId c = cluster();
     rec.channel = ctx_.network->app_in_flight(c);
     std::erase_if(rec.channel, [c](const net::Envelope& e) {
@@ -739,17 +733,11 @@ void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
   known_rollbacks_[m.faulty.v].push_back(
       RollbackInfo{m.new_inc, m.restored_sn});
 
-  // Rollback decision first (paper §3.4): if our DDV entry for the faulty
-  // cluster is >= the alerted SN, roll back to the target CLC, then alert
-  // the others with our own new SN (done inside rollback_cluster).  SN 0
-  // is a restart from the beginning of the application, which no DDV entry
-  // can name (entries start at 0 and only a committed SN raises them): the
-  // alert only replays logged messages.
-  if (m.restored_sn > 0 && decide_needs_rollback(m.faulty, m.restored_sn)) {
-    const proto::ClcRecord* target =
-        find_rollback_target(m.faulty, m.restored_sn);
-    HC3I_CHECK(target != nullptr,
-               "no rollback target — the garbage collector over-pruned");
+  // Rollback decision first (paper §3.4): roll back to the target CLC, if
+  // any, then alert the others with our own new SN (done inside
+  // rollback_cluster).
+  if (const proto::ClcRecord* target =
+          rollback_target(m.faulty, m.restored_sn)) {
     cluster_stat(stat_rollback_cascade_, "rollback.cascade").inc();
     rollback_cluster(*target, /*fault_origin=*/false);
   }

@@ -21,16 +21,18 @@
 //         replay logged messages.
 //   §3.5  Centralized garbage collection of CLCs and logs.
 //
-// Implementation refinements beyond the paper's prose (DESIGN.md §3):
+// Implementation refinements beyond the paper's prose (the "(impl.)" rows of
+// docs/paper_map.md):
 // cluster incarnation numbers to filter stale in-flight messages, channel-
 // state capture of intra-cluster in-flight messages at commit, checkpointed
 // copies of the sender log so a failed node recovers its log, and receiver-
 // side de-duplication of re-sent inter-cluster messages.
 //
-// Three protected virtual hooks (the communication-induced forcing rule,
-// the rollback-necessity test and the rollback-target rule) let the
-// independent-checkpointing baseline reuse the entire machinery with
-// forcing disabled — exactly the ablation the paper argues against in §2.2.
+// Three protected virtual hooks (cic_should_force, the communication-induced
+// forcing rule; on_inter_delivered, delivery-time DDV bookkeeping; and
+// rollback_target, the §3.4 rollback rule) let the independent-
+// checkpointing baseline reuse the entire machinery with forcing disabled —
+// exactly the ablation the paper argues against in §2.2.
 
 #include <map>
 #include <memory>
@@ -75,12 +77,10 @@ class Hc3iAgent : public proto::AgentBase {
   virtual bool cic_should_force(const net::Envelope& env) const;
   /// Delivery-time DDV bookkeeping (no-op for HC3I: DDVs change at commit).
   virtual void on_inter_delivered(const net::Envelope& env);
-  /// Must this cluster roll back for alert (f, restored_sn)?
-  virtual bool decide_needs_rollback(ClusterId f, SeqNum restored_sn) const;
-  /// The CLC to restore for alert (f, restored_sn); never null when
-  /// decide_needs_rollback returned true.
-  virtual const proto::ClcRecord* find_rollback_target(
-      ClusterId f, SeqNum restored_sn) const;
+  /// The CLC this cluster restores for alert (f, restored_sn), or nullptr
+  /// when it need not roll back (HC3I: proto::rollback_target, §3.4).
+  virtual const proto::ClcRecord* rollback_target(ClusterId f,
+                                                  SeqNum restored_sn) const;
 
   Hc3iRuntime& rt_;
 

@@ -4,10 +4,10 @@
 //
 // The runtime owns what is logically *cluster-level* rather than node-level:
 // the stable-storage checkpoint store of each cluster (paper §3.1), the
-// cluster incarnation counters (DESIGN.md §3.5), and the garbage-collection
-// history the evaluation tables report.  It also gives the cluster
-// coordinator direct access to its cluster's agents for two simulator
-// shortcuts documented in DESIGN.md §3:
+// cluster incarnation counters, and the garbage-collection history the
+// evaluation tables report.  It also gives the cluster coordinator direct
+// access to its cluster's agents for two simulator shortcuts (each has a
+// row in docs/paper_map.md):
 //
 //   * channel-state capture at CLC commit reads each node's held-back
 //     arrivals (a real implementation would gather the same information

@@ -26,7 +26,7 @@ enum class MsgClass : std::uint8_t {
 /// Protocol metadata piggy-backed on application messages (paper §3.2):
 /// "The current cluster's sequence number is piggy-backed on each
 /// inter-cluster application message."  The incarnation tag and the optional
-/// full DDV are implementation refinements documented in DESIGN.md §3.
+/// full DDV are implementation refinements (docs/paper_map.md).
 struct Piggyback {
   /// Sender cluster's SN at send time.
   SeqNum sn{0};

@@ -8,7 +8,7 @@
 //   * send_app()     — build the envelope, record the send in the ledger at
 //                      the moment it actually enters the network (queued
 //                      sends are recorded at drain time, which is what makes
-//                      checkpoint cuts exact — DESIGN.md §3),
+//                      checkpoint cuts exact — docs/paper_map.md),
 //   * deliver_app()  — record the delivery and hand the message to the app,
 //   * send_control() / broadcast helpers for protocol traffic,
 //   * the frozen-application gate (inline and non-virtual: it sits on every

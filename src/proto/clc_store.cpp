@@ -62,14 +62,6 @@ const ClcRecord& ClcStore::last() const {
   return records_.back();
 }
 
-const ClcRecord* ClcStore::oldest_with_dep_at_least(ClusterId f,
-                                                    SeqNum sn) const {
-  for (const auto& r : records_) {
-    if (r.ddv.at(f) >= sn) return &r;
-  }
-  return nullptr;
-}
-
 const ClcRecord* ClcStore::find(SeqNum sn) const {
   const auto it =
       std::lower_bound(records_.begin(), records_.end(), sn, kSnBelow);

@@ -59,10 +59,6 @@ class ClcStore {
   /// Most recent CLC; REQUIRES !empty().
   const ClcRecord& last() const;
 
-  /// The oldest stored CLC whose DDV entry for `f` is >= `sn`
-  /// (the rollback target rule of paper §3.4), or nullptr if none.
-  const ClcRecord* oldest_with_dep_at_least(ClusterId f, SeqNum sn) const;
-
   /// The record with exactly this SN, or nullptr.
   const ClcRecord* find(SeqNum sn) const;
 

@@ -3,8 +3,8 @@
 // Receiver-side de-duplication set with copy-on-write capture.
 //
 // Each node remembers the app_seq of every delivered inter-cluster message
-// (DESIGN.md §3: re-sent messages racing with their original copy must be
-// dropped, not double-delivered).  The set is checked per inter-cluster
+// (re-sent messages racing with their original copy must be dropped, not
+// double-delivered; docs/paper_map.md, "Receiver de-duplication").  The set is checked per inter-cluster
 // arrival — so membership stays hashed — but it is also part of every
 // checkpoint part, and the capture used to deep-copy and sort the whole set
 // per node per CLC round.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "proto/recovery_line.hpp"
 #include "util/check.hpp"
 
 namespace hc3i::proto {
@@ -65,13 +66,10 @@ std::vector<net::Envelope> MsgLog::take_resends(ClusterId dst,
   if (!entries_) return out;
   auto needs_resend = [&](const LogEntry& e) {
     if (e.env.dst_cluster != dst) return false;
-    if (!e.acked) return true;
-    // An ack from the new (post-rollback) incarnation proves the delivery
-    // happened into the restored execution — it survives.
-    if (e.ack_inc >= new_inc) return false;
-    // Pre-rollback ack: the delivery survives only if it happened in an
-    // epoch strictly before the restored checkpoint.
-    return e.ack_sn >= restored_sn;
+    // An ack proves the delivery survives unless the rollback undid it: a
+    // pre-rollback ack from the restored epoch or later.
+    return !e.acked ||
+           undone_by_rollback(e.ack_sn, e.ack_inc, restored_sn, new_inc);
   };
   for (const auto& e : *entries_) {
     if (needs_resend(e)) out.push_back(e.env);

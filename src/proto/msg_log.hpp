@@ -7,10 +7,10 @@
 // the sender does not rollback).  The message is acknowledged with the
 // receiver's SN which is logged along with the message itself."
 //
-// Entries record the acknowledging incarnation too (DESIGN.md §3.4-3.5):
-// after a rollback alert (f, restored_sn, new_inc) the sender re-sends the
-// logged messages to f that are unacknowledged, or whose ack came from a
-// pre-rollback incarnation with ack SN >= restored_sn.
+// Entries record the acknowledging incarnation too (docs/paper_map.md,
+// "Incarnations"): after a rollback alert (f, restored_sn, new_inc) the
+// sender re-sends the logged messages to f that are unacknowledged, or
+// whose ack that rollback undid (undone_by_rollback).
 
 #include <cstdint>
 #include <vector>
@@ -124,8 +124,8 @@ class MsgLog {
   /// detaches (copies) lazily before its next mutation.
   LogImage capture() const { return LogImage{entries_}; }
   /// Replace the whole log from a captured image (restoring a failed node
-  /// from its checkpointed log copy — DESIGN.md §3 refinement).  Adopts the
-  /// image's storage without copying; a later mutation detaches first.
+  /// from its checkpointed log copy, docs/paper_map.md).  Adopts the image's
+  /// storage without copying; a later mutation detaches first.
   void restore(const LogImage& image);
 
  private:

@@ -8,18 +8,6 @@ namespace hc3i::proto {
 
 namespace {
 
-/// Index of the most recent record with sn <= `restored_sn` — a binary
-/// search over the SN-ordered list (ordering is validated once by
-/// LineSolver before any search runs).
-std::size_t effective_index(const std::vector<ClcMeta>& metas,
-                            SeqNum restored_sn) {
-  const auto it = std::partition_point(
-      metas.begin(), metas.end(),
-      [&](const ClcMeta& m) { return m.sn <= restored_sn; });
-  HC3I_CHECK(it != metas.begin(), "recovery line: no effective checkpoint");
-  return static_cast<std::size_t>(it - metas.begin()) - 1;
-}
-
 /// Shared fixpoint state over one checkpoint-metadata snapshot.
 ///
 /// The GC initiator "simulates a failure in each cluster" (paper §3.5) —
@@ -30,9 +18,9 @@ std::size_t effective_index(const std::vector<ClcMeta>& metas,
 /// at scale, and re-validating the snapshot per fixpoint repaid the O(total
 /// records) checks C times.  The solver validates once at construction and
 /// maintains the per-cluster effective index incrementally: it starts at
-/// the newest record (binary-searched) and only ever moves down, exactly
-/// when the fixpoint lowers that cluster's restored SN — so the effective
-/// DDV is an O(1) lookup.
+/// the newest record and only ever moves down, exactly when the fixpoint
+/// lowers that cluster's restored SN — so the effective DDV is an O(1)
+/// lookup.
 class LineSolver {
  public:
   explicit LineSolver(const std::vector<std::vector<ClcMeta>>& meta)
@@ -57,7 +45,7 @@ class LineSolver {
     line.rolled_back.assign(n, false);
     for (std::size_t c = 0; c < n; ++c) {
       line.restored[c] = meta_[c].back().sn;
-      eff_[c] = effective_index(meta_[c], line.restored[c]);
+      eff_[c] = meta_[c].size() - 1;
     }
 
     // The faulty cluster restores its most recent stored CLC (paper §3.4).
@@ -76,28 +64,18 @@ class LineSolver {
         for (std::size_t j = 0; j < n; ++j) {
           if (j == i) continue;
           // j's current DDV is the DDV of its effective record — an O(1)
-          // read off the incrementally maintained index.
-          if (meta_[j][eff_[j]].ddv.at(ci) < r_i) continue;
-          // j depends on an undone epoch of i: roll back to the oldest
-          // effective CLC whose entry for i is >= r_i.
-          std::size_t target = eff_[j] + 1;
-          for (std::size_t k = 0; k <= eff_[j]; ++k) {
-            if (meta_[j][k].ddv.at(ci) >= r_i) {
-              target = k;
-              break;
-            }
-          }
-          HC3I_CHECK(target <= eff_[j],
-                     "recovery line: no rollback target in cluster " +
-                         std::to_string(j) + " for alert from " +
-                         std::to_string(i));
+          // read off the incrementally maintained index — and its history
+          // the records up to that one.
+          const std::span<const ClcMeta> history(meta_[j].data(), eff_[j] + 1);
+          const ClcMeta* target =
+              rollback_target(history, history.back().ddv, ci, r_i);
+          if (target == nullptr) continue;
           // Rolling back to the most recent CLC (target == eff_[j]) still
           // counts: the post-commit execution holds the undone delivery,
           // and the rollback's own alert may cascade further.
-          if (meta_[j][target].sn < line.restored[j] ||
-              !line.rolled_back[j]) {
-            line.restored[j] = meta_[j][target].sn;
-            eff_[j] = target;
+          if (target->sn < line.restored[j] || !line.rolled_back[j]) {
+            line.restored[j] = target->sn;
+            eff_[j] = static_cast<std::size_t>(target - history.data());
             line.rolled_back[j] = true;
             changed = true;
           }

@@ -41,7 +41,7 @@ using SeqNum = std::uint32_t;
 
 /// A cluster incarnation number, bumped each time the cluster rolls back.
 /// Used to tell stale pre-rollback messages from their re-sent copies
-/// (DESIGN.md §3.5); the paper leaves this mechanism implicit.
+/// (docs/paper_map.md, "Incarnations"); the paper leaves it implicit.
 using Incarnation = std::uint32_t;
 
 inline std::string to_string(ClusterId c) { return "C" + std::to_string(c.v); }

@@ -167,7 +167,7 @@ TEST(Hc3iBasic, DemandsAbsorbedByActiveRound) {
 
 TEST(Hc3iBasic, ChannelStateCapturedAtCommit) {
   // An intra-cluster message in flight across a commit lands in the CLC's
-  // channel state (Chandy-Lamport capture, DESIGN.md §3).
+  // channel state (Chandy-Lamport capture, docs/paper_map.md).
   config::RunSpec spec = tiny_spec(2, 3);
   spec.application.state_bytes = 50 * 1024 * 1024;  // long 2PC window
   MiniWorld w(spec, 1);

@@ -143,7 +143,7 @@ TEST(Rollback, CascadeMatchesOracleOnThreeClusters) {
 
 TEST(Rollback, FailedNodeRecoversItsLogFromTheClc) {
   // The failed node's volatile log is lost; it restores the checkpointed
-  // copy (DESIGN.md §3) so later alerts can still replay its sends.
+  // copy so later alerts can still replay its sends (docs/paper_map.md).
   MiniWorld w(tiny_spec(2, 3), 1);
   w.settle();
   const std::uint64_t seq = w.send(NodeId{0}, NodeId{3});
@@ -179,8 +179,8 @@ TEST(Rollback, SurvivorTruncatesUndoneSendsFromLog) {
 
 TEST(Rollback, StaleInFlightMessageDropped) {
   // A message sent in an undone epoch but still in flight when the sender
-  // rolls back must be discarded by the receiver (incarnation filter,
-  // DESIGN.md §3.5) — its application-level re-execution supersedes it.
+  // rolls back must be discarded by the receiver (docs/paper_map.md,
+  // "Incarnations") — its application-level re-execution supersedes it.
   config::RunSpec spec = tiny_spec(2, 3);
   // Slow inter-cluster link so the message is still in flight at rollback.
   spec.topology.inter[0][1].bytes_per_sec = 1000.0;

@@ -1,12 +1,17 @@
-// Unit tests for src/proto: DDV, sender log, checkpoint store, ledger.
+// Unit tests for src/proto: DDV, sender log, checkpoint store, the §3.4
+// rollback rule, ledger.
 
 #include <gtest/gtest.h>
+
+#include <span>
+#include <utility>
 
 #include "proto/clc_store.hpp"
 #include "proto/ddv.hpp"
 #include "proto/dedup_set.hpp"
 #include "proto/ledger.hpp"
 #include "proto/msg_log.hpp"
+#include "proto/recovery_line.hpp"
 #include "util/rng.hpp"
 
 namespace hc3i::proto {
@@ -102,7 +107,8 @@ TEST(MsgLog, AckedBeforeRestorePointIsStable) {
 TEST(MsgLog, AckedAtOrAfterRestorePointIsResent) {
   // Paper §3.4: "Logged messages ... acknowledged with a SN greater than
   // the alert one (or not acknowledged at all) will then be resent";
-  // under our SN convention the boundary epoch is lost too (DESIGN.md §3).
+  // under our SN convention the boundary epoch is lost too
+  // (proto::undone_by_rollback; docs/paper_map.md, row "Rollback").
   MsgLog log;
   log.add(inter_env(1, 1));
   log.add(inter_env(2, 1));
@@ -223,16 +229,31 @@ TEST(ClcStore, CommitEnforcesInvariants) {
   EXPECT_THROW(store.commit(std::move(bad)), CheckFailure);  // wrong part count
 }
 
-TEST(ClcStore, OldestWithDepAtLeast) {
+TEST(RollbackTarget, OldestRetainedRecordAtOrAboveTheAlertedSn) {
   ClcStore store(ClusterId{0}, 2, 1);
   store.commit(record(1, {1, 0}));
   store.commit(record(2, {2, 3}));
   store.commit(record(3, {3, 3}));
   store.commit(record(4, {4, 6}));
-  const ClcRecord* rec = store.oldest_with_dep_at_least(ClusterId{1}, 3);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->sn, 2u);  // the *oldest* qualifying CLC (paper §3.4)
-  EXPECT_EQ(store.oldest_with_dep_at_least(ClusterId{1}, 7), nullptr);
+  const Ddv current = store.last().ddv;  // entry for C1: 6
+  // {alerted SN, target SN (0: no rollback)}
+  const std::pair<SeqNum, SeqNum> rows[] = {
+      {3, 2},  // the *oldest* qualifying CLC (paper §3.4)
+      {6, 4},
+      {0, 0},  // an alert naming SN 0: a restart from the beginning
+      {7, 0},  // the DDV entry is below the alerted SN
+  };
+  for (const auto& [alerted, want] : rows) {
+    const ClcRecord* got = rollback_target(std::span(store.records()),
+                                           current, ClusterId{1}, alerted);
+    EXPECT_EQ(got != nullptr ? got->sn : 0, want) << "alerted SN " << alerted;
+  }
+  // The dependency stands (6 >= 3), but an over-eager GC pruned every
+  // record that carries it.
+  store.prune_before(5);
+  EXPECT_THROW(rollback_target(std::span(store.records()), current,
+                               ClusterId{1}, 3),
+               CheckFailure);
 }
 
 TEST(ClcStore, TruncateAfterRollback) {

@@ -31,7 +31,11 @@ skipped) for:
     named in the docs.  Top-level notes other than README.md (the change
     history, the roadmap, the paper notes and reference snippets) name code
     as it was, as it will be or as other projects have it, and are not
-    checked.
+    checked,
+  * doc paths in code: every `*.md` path a tracked source under those code
+    directories names (relative to the repo root or to the source's own
+    directory) must exist — a comment cannot send its reader to a document
+    the repository does not have.
 
 Exit status is non-zero when any check fails, so CI can gate on it.
 """
@@ -51,6 +55,7 @@ CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 QUALIFIED_NAME_RE = re.compile(r"(?<![\w:])(?:[A-Za-z_]\w*::)+~?[A-Za-z_]\w*")
 CODE_DIRS = ("src", "tests", "bench", "examples", "tools",
              "benchmark/*.cpp", "benchmark/*.hpp")
+MD_PATH_RE = re.compile(r"(?<![\w./*-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 
 
 def repo_root() -> str:
@@ -133,9 +138,9 @@ def check_subsystem_coverage(root: str):
     if not os.path.isdir(src):
         return errors
     corpus = ""
-    doc_names = ("architecture.md", "paper_map.md")
+    doc_names = ("docs/architecture.md", "docs/paper_map.md")
     for name in doc_names:
-        path = os.path.join(root, "docs", name)
+        path = os.path.join(root, name)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as f:
                 corpus += f.read()
@@ -225,6 +230,22 @@ def check_tracked_refs(root: str):
     return errors
 
 
+def check_code_doc_refs(root: str):
+    """Every *.md path named in the tracked code exists, read from the repo
+    root or from the naming file's directory."""
+    errors = []
+    for rel in git_files(root, *CODE_DIRS):
+        here = os.path.dirname(rel)
+        with open(os.path.join(root, rel), encoding="utf-8",
+                  errors="replace") as f:
+            for lineno, line in enumerate(f, start=1):
+                errors += [f"{rel}:{lineno}: names {ref}, which does not exist"
+                           for ref in MD_PATH_RE.findall(line)
+                           if not any(os.path.exists(os.path.join(root, d, ref))
+                                      for d in ("", here))]
+    return errors
+
+
 def main() -> int:
     root = repo_root()
     all_errors = []
@@ -234,6 +255,7 @@ def main() -> int:
         all_errors.extend(check_file(path, root))
     all_errors.extend(check_subsystem_coverage(root))
     all_errors.extend(check_tracked_refs(root))
+    all_errors.extend(check_code_doc_refs(root))
     for err in all_errors:
         print(f"error: {err}", file=sys.stderr)
     print(f"check_docs: {checked} markdown files, {len(all_errors)} errors")
