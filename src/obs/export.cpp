@@ -265,17 +265,14 @@ constexpr std::string_view kTsvHeader =
     "log_resent_bytes\tckpt_bytes_written\tckpt_stall_us\t"
     "recovery_read_us\n";
 
-constexpr std::size_t kKinds =
-    static_cast<std::size_t>(RecordKind::kCampaignInject) + 1;
-
 /// Buffered bytes of one line per record kind under `render`, plus
 /// `extra`.  Renderings branch only on whether a or b is zero (forced
 /// round, alert rollback), so each kind is measured with both at 0 and 1.
 template <typename Render>
-constexpr std::array<std::size_t, kKinds> line_bounds(Render render,
+constexpr std::array<std::size_t, kRecordKinds> line_bounds(Render render,
                                                       std::size_t extra) {
-  std::array<std::size_t, kKinds> bound{};
-  for (std::size_t k = 0; k < kKinds; ++k) {
+  std::array<std::size_t, kRecordKinds> bound{};
+  for (std::size_t k = 0; k < kRecordKinds; ++k) {
     for (const unsigned flags : {0u, 1u, 2u, 3u}) {
       Width w;
       TraceRecord r;
@@ -290,13 +287,13 @@ constexpr std::array<std::size_t, kKinds> line_bounds(Render render,
 }
 
 /// Per-kind JSON line bound, separator included.
-constexpr std::array<std::size_t, kKinds> kLineBound = line_bounds(
+constexpr std::array<std::size_t, kRecordKinds> kLineBound = line_bounds(
     [](auto& o, const TraceRecord& r) { render_record(o, r); }, kSep.size());
 static_assert(*std::max_element(kLineBound.begin(), kLineBound.end()) <=
               Line::kCap);
 
 /// Per-kind text line bound, newline included.
-constexpr std::array<std::size_t, kKinds> kTextBound = line_bounds(
+constexpr std::array<std::size_t, kRecordKinds> kTextBound = line_bounds(
     [](auto& o, const TraceRecord& r) { render_text(o, r); }, 0);
 static_assert(*std::max_element(kTextBound.begin(), kTextBound.end()) <=
               Line::kCap);
@@ -310,18 +307,18 @@ static_assert(kRowBound <= Line::kCap);
 
 /// Every record through `render`, one line each, between `head` and
 /// `tail`.  One reservation covers the widest rendering of every record
-/// (`bounds` per kind, plus labels), so the string never reallocates;
-/// pages past what is written stay untouched.
+/// (`bounds` per kind times the buffer's count of that kind, plus its label
+/// bytes), so the string never reallocates; pages past what is written
+/// stay untouched.
 template <typename Render>
 std::string render_records(const TraceBuffer& records,
-                           const std::array<std::size_t, kKinds>& bounds,
+                           const std::array<std::size_t, kRecordKinds>& bounds,
                            std::string_view head, std::string_view tail,
                            Render render) {
-  std::size_t bound = head.size() + tail.size();
-  records.for_each([&](const TraceRecord& r) {
-    bound += bounds[static_cast<std::size_t>(r.kind)];
-    if (r.label != nullptr) bound += std::strlen(r.label);
-  });
+  std::size_t bound = head.size() + tail.size() + records.label_bytes();
+  for (std::size_t k = 0; k < kRecordKinds; ++k) {
+    bound += bounds[k] * records.count(static_cast<RecordKind>(k));
+  }
   std::string out;
   out.reserve(bound);
   out += head;

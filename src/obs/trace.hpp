@@ -19,8 +19,10 @@
 // chronologically sorted by construction and the export (obs/export.hpp)
 // is deterministic for a fixed seed.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -79,8 +81,13 @@ constexpr const char* to_label(RecordKind k) {
   return "unknown";
 }
 
-/// One fixed-layout trace record.  `label`, when set, always points at a
-/// string literal (campaign source names), never at owned storage.
+/// Number of RecordKind values.
+constexpr std::size_t kRecordKinds =
+    static_cast<std::size_t>(RecordKind::kCampaignInject) + 1;
+
+/// One trace record as emitted and as decoded.  `label`, when set, always
+/// points at a string literal (campaign source names), never at owned
+/// storage.
 struct TraceRecord {
   SimTime t;
   std::uint64_t id{0};
@@ -92,39 +99,134 @@ struct TraceRecord {
   const char* label{nullptr};
 };
 
-/// Append-only record store: fixed-capacity chunks chained in a vector, so
-/// a push never moves existing records and steady-state pushes (within a
-/// chunk) never allocate.
+/// Append-only record store, encoded as a byte stream.  Each record is a
+/// tag byte (the kind, plus kLabelBit when a label is present), then
+/// LEB128 varints for the time delta from the previous record, cluster,
+/// node, id, a and b, then, with kLabelBit, a varint index into the
+/// buffer's table of label pointers.  The delta is the unsigned
+/// wrap-around difference of the two int64 times, so any sequence
+/// round-trips exactly; runs emit at now(), so their deltas are small.
+///
+/// Bytes land in fixed kChunkBytes chunks that are never relocated; a new
+/// chunk starts when fewer than kMaxRecordBytes are left in the current
+/// one, so a push allocates only when it opens a chunk (or grows the chunk
+/// and label tables, logarithmically).
 class TraceBuffer {
  public:
-  static constexpr std::size_t kChunkCap = 4096;
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+  static constexpr std::uint8_t kLabelBit = 0x80;
+  /// Varint widths: 1 byte per 7 bits.
+  static constexpr std::size_t kVarint32 = 5;
+  static constexpr std::size_t kVarint64 = 10;
+  /// Tag, time delta, cluster and node, id/a/b, label index.
+  static constexpr std::size_t kMaxRecordBytes =
+      1 + kVarint64 + 2 * kVarint32 + 3 * kVarint64 + kVarint64;
+  static_assert(kRecordKinds <= kLabelBit);
 
   void push(const TraceRecord& r) {
-    if (chunks_.empty() || chunks_.back()->n == kChunkCap) {
-      chunks_.push_back(std::make_unique<Chunk>());
+    if (chunks_.empty() || kChunkBytes - chunks_.back()->used <
+                               kMaxRecordBytes) {
+      chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
     }
     Chunk& c = *chunks_.back();
-    c.recs[c.n++] = r;
+    std::uint8_t* p = c.bytes.data() + c.used;
+    const auto t = static_cast<std::uint64_t>(r.t.ns);
+    *p++ = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(r.kind) |
+        (r.label != nullptr ? kLabelBit : 0));
+    p = put_varint(p, t - last_t_);
+    p = put_varint(p, r.cluster);
+    p = put_varint(p, r.node);
+    p = put_varint(p, r.id);
+    p = put_varint(p, r.a);
+    p = put_varint(p, r.b);
+    if (r.label != nullptr) p = put_varint(p, label_index(r.label));
+    const auto n = static_cast<std::size_t>(p - (c.bytes.data() + c.used));
+    c.used += n;
+    bytes_ += n;
+    last_t_ = t;
+    ++counts_[static_cast<std::size_t>(r.kind)];
     ++size_;
   }
 
   std::size_t size() const { return size_; }
+  /// Records of kind `k`.
+  std::size_t count(RecordKind k) const {
+    return counts_[static_cast<std::size_t>(k)];
+  }
+  /// Total length of every record's label, NUL excluded.
+  std::size_t label_bytes() const { return label_bytes_; }
+  /// Encoded bytes over every record.
+  std::size_t bytes() const { return bytes_; }
 
-  /// Visit every record in emission (= chronological) order.
+  /// Visit every record in emission (= chronological) order, each decoded
+  /// into a stack TraceRecord.
   template <typename F>
   void for_each(F&& f) const {
+    std::uint64_t t = 0;
     for (const auto& c : chunks_) {
-      for (std::size_t i = 0; i < c->n; ++i) f(c->recs[i]);
+      const std::uint8_t* p = c->bytes.data();
+      const std::uint8_t* const end = p + c->used;
+      while (p != end) {
+        const std::uint8_t tag = *p++;
+        t += get_varint(p);
+        const auto cluster = static_cast<std::uint32_t>(get_varint(p));
+        const auto node = static_cast<std::uint32_t>(get_varint(p));
+        const std::uint64_t id = get_varint(p);
+        const std::uint64_t a = get_varint(p);
+        const std::uint64_t b = get_varint(p);
+        const char* label =
+            (tag & kLabelBit) != 0 ? labels_[get_varint(p)] : nullptr;
+        f(TraceRecord{SimTime{static_cast<std::int64_t>(t)}, id, a, b,
+                      cluster, node,
+                      static_cast<RecordKind>(tag & (kLabelBit - 1)), label});
+      }
     }
   }
 
  private:
   struct Chunk {
-    std::array<TraceRecord, kChunkCap> recs;
-    std::size_t n{0};
+    std::array<std::uint8_t, kChunkBytes> bytes;
+    std::size_t used{0};
   };
+
+  static std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
+    while (v >= 0x80) {
+      *p++ = static_cast<std::uint8_t>(v | 0x80);
+      v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+  }
+
+  static std::uint64_t get_varint(const std::uint8_t*& p) {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t byte = *p++;
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) return v;
+    }
+  }
+
+  /// Index of `label` in labels_, appending it on first sight.  Labels are
+  /// campaign source names, a handful per run, so a scan is enough.
+  std::size_t label_index(const char* label) {
+    label_bytes_ += std::strlen(label);
+    const auto it = std::find(labels_.begin(), labels_.end(), label);
+    if (it != labels_.end()) {
+      return static_cast<std::size_t>(it - labels_.begin());
+    }
+    labels_.push_back(label);
+    return labels_.size() - 1;
+  }
+
   std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<const char*> labels_;
+  std::array<std::size_t, kRecordKinds> counts_{};
+  std::uint64_t last_t_{0};
   std::size_t size_{0};
+  std::size_t bytes_{0};
+  std::size_t label_bytes_{0};
 };
 
 /// Collects trace records and, on the side, the latency distributions only

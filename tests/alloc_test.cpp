@@ -7,7 +7,8 @@
 //       fan-outs, Network::send/deliver bare and with a 3-entry transitive
 //       DDV piggyback (paper §7), and a disabled HC3I_OBS site.  Each takes
 //       its allocation baseline after a warm-up and must then allocate
-//       nothing at all.
+//       nothing at all.  An enabled Recorder may allocate once per trace
+//       chunk, never per record.
 //   scale bounds — the 5 -> 10-cluster heap growth of the scale-out
 //       scenario stays below 3 (linear cost gives 2, a clusters² term 4;
 //       docs/scaling.md), and the paper reference run stays under one
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -219,6 +221,33 @@ TEST(ZeroAlloc, TraceOff) {
   }
   const std::uint64_t allocs = g_allocs - allocs0;
   EXPECT_EQ(allocs, 0u);
+}
+
+/// Tracing on: records are encoded into never-relocated byte chunks, so an
+/// emit allocates only when it opens a chunk, grows the chunk table
+/// (logarithmically) or widens the Recorder's open-round table (once per
+/// new highest cluster id, ten at most here).  The stream is the shape of
+/// a CLC round: a begin, then acks, on 10 clusters of 1000 nodes.
+TEST(ZeroAlloc, TraceOnAllocatesOncePerChunk) {
+  constexpr std::uint64_t kEmits = 1'000'000;
+  obs::Recorder rec;
+  const std::uint64_t allocs0 = g_allocs;
+  for (std::uint64_t i = 0; i < kEmits; ++i) {
+    rec.emit(i % 64 == 0 ? obs::RecordKind::kClcRoundBegin
+                         : obs::RecordKind::kClcAck,
+             SimTime{static_cast<std::int64_t>(i * 1000)},
+             static_cast<std::uint32_t>(i % 10),
+             static_cast<std::uint32_t>(i % 1000), i / 64, i % 100, 100);
+  }
+  const std::uint64_t allocs = g_allocs - allocs0;
+  // A chunk is closed only with fewer than kMaxRecordBytes left.
+  const std::uint64_t max_chunks =
+      rec.records().bytes() / (obs::TraceBuffer::kChunkBytes -
+                               obs::TraceBuffer::kMaxRecordBytes) +
+      1;
+  EXPECT_EQ(rec.records().size(), kEmits);
+  EXPECT_LE(allocs, max_chunks + std::bit_width(max_chunks) + 10);
+  EXPECT_LT(allocs * 1000, kEmits) << allocs << " allocations";
 }
 
 /// Heap bytes requested by one seed-1 run of the scale-out scenario
