@@ -270,7 +270,7 @@ constexpr std::string_view kTsvHeader =
 /// round, alert rollback), so each kind is measured with both at 0 and 1.
 template <typename Render>
 constexpr std::array<std::size_t, kRecordKinds> line_bounds(Render render,
-                                                      std::size_t extra) {
+                                                            std::size_t extra) {
   std::array<std::size_t, kRecordKinds> bound{};
   for (std::size_t k = 0; k < kRecordKinds; ++k) {
     for (const unsigned flags : {0u, 1u, 2u, 3u}) {

@@ -12,9 +12,10 @@
 //
 // Cost discipline: when tracing is off the recorder pointer threaded
 // through proto::AgentContext is null and every emission site is one
-// pointer test (the HC3I_OBS macro below).  When it is on, records land in
-// a chunked buffer — fixed-size chunks, never relocated — so steady-state
-// emission does not allocate per record.  The simulation is
+// pointer test (the HC3I_OBS macro below).  When it is on, each record is
+// varint-encoded (about 9 bytes, against 56 for a TraceRecord) into 64 KiB
+// byte chunks that are never relocated, so emission allocates once per
+// chunk, never per record (tests/alloc_test.cpp).  The simulation is
 // single-threaded and events execute in time order, so the buffer is
 // chronologically sorted by construction and the export (obs/export.hpp)
 // is deterministic for a fixed seed.

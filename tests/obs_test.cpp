@@ -526,7 +526,9 @@ driver::RunOptions storage_overlap_opts() {
   opts.spec = config::scale_federation_spec(4, 8, minutes(30));
   config::StorageSpec storage;
   storage.kind = config::StorageSpec::Kind::kStripedRemote;
-  for (config::ClusterSpec& c : opts.spec.topology.clusters) c.storage = storage;
+  for (config::ClusterSpec& c : opts.spec.topology.clusters) {
+    c.storage = storage;
+  }
   opts.campaign = fault::reference_overlap_campaign(4, 8, minutes(30));
   opts.trace = true;
   return opts;
