@@ -206,6 +206,14 @@ bool Hc3iAgent::is_stale(const net::Envelope& env) const {
   });
 }
 
+std::vector<Incarnation> Hc3iAgent::known_rollback_incarnations(
+    ClusterId f) const {
+  std::vector<Incarnation> incs;
+  if (known_rollbacks_.empty()) return incs;
+  for (const RollbackInfo& rb : known_rollbacks_[f.v]) incs.push_back(rb.inc);
+  return incs;
+}
+
 void Hc3iAgent::receive_inter_app(const net::Envelope& env) {
   if (dedup_.contains(env.app_seq)) {
     // Duplicate of an already-delivered message (a re-send raced with the
@@ -754,10 +762,14 @@ void Hc3iAgent::handle_rollback_alert(const RollbackAlert& m) {
 
 void Hc3iAgent::handle_alert_relay(const AlertRelay& m) {
   // Replaying is safe regardless of our incarnation: surviving log entries
-  // always describe sends that are part of our current state.
-  if (known_rollbacks_.empty()) known_rollbacks_.resize(rt_.cluster_count());
-  known_rollbacks_[m.alert.faulty.v].push_back(
-      RollbackInfo{m.alert.new_inc, m.alert.restored_sn});
+  // always describe sends that are part of our current state.  The
+  // coordinator recorded the rollback when the alert itself arrived; its
+  // own relay (include_self) must not record it a second time.
+  if (!alerts_seen_.contains({m.alert.faulty.v, m.alert.new_inc})) {
+    if (known_rollbacks_.empty()) known_rollbacks_.resize(rt_.cluster_count());
+    known_rollbacks_[m.alert.faulty.v].push_back(
+        RollbackInfo{m.alert.new_inc, m.alert.restored_sn});
+  }
   const std::vector<net::Envelope> resends =
       log_.take_resends(m.alert.faulty, m.alert.restored_sn, m.alert.new_inc);
   for (const net::Envelope& env : resends) {

@@ -67,6 +67,9 @@ class Hc3iAgent : public proto::AgentBase {
   std::size_t log_size() const { return log_.size(); }
   const proto::MsgLog& msg_log() const { return log_; }
   std::size_t waiting_forced() const { return wait_force_.size(); }
+  /// Incarnations of cluster `f`'s rollbacks this node knows of, in
+  /// arrival order (one per alert it handled or relay it received).
+  std::vector<Incarnation> known_rollback_incarnations(ClusterId f) const;
 
   /// Why a CLC round was started (statistics bucket).
   enum class RoundReason { kInitial, kTimer, kForced };

@@ -19,14 +19,14 @@ net::Envelope AgentBase::send_app(NodeId dst, std::uint64_t bytes,
   env.piggy = piggy;
   env.app_seq = app_seq;
   env.sent_at = now();
-  ctx_.ledger->record_send(app_seq, self(), cluster(), now());
+  ctx_.ledger->record_send(app_seq, self(), cluster());
   env.id = ctx_.network->send(env);
   return env;
 }
 
 net::Envelope AgentBase::resend_app(const net::Envelope& original) {
   net::Envelope env = original;
-  ctx_.ledger->record_send(env.app_seq, self(), cluster(), now());
+  ctx_.ledger->record_send(env.app_seq, self(), cluster());
   ctx_.registry->counter("log.resent_msgs").inc();
   // Replay cost in bytes (recovery telemetry reports it per incident).
   ctx_.registry->counter("log.resent_bytes").inc(env.payload_bytes);
@@ -36,7 +36,7 @@ net::Envelope AgentBase::resend_app(const net::Envelope& original) {
 }
 
 void AgentBase::deliver_app(const net::Envelope& env) {
-  ctx_.ledger->record_delivery(env.app_seq, self(), cluster(), now());
+  ctx_.ledger->record_delivery(env.app_seq, self(), cluster());
   ctx_.app->deliver(env);
 }
 

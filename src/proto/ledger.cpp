@@ -2,44 +2,45 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace hc3i::proto {
 
-std::uint64_t ConsistencyLedger::record_send(std::uint64_t app_seq, NodeId src,
-                                             ClusterId src_cluster, SimTime t) {
-  const std::uint64_t seq = ++next_seq_;
-  events_.push_back(Event{seq, app_seq, Kind::kSend, src, src_cluster, t, false});
-  return seq;
+std::uint64_t ConsistencyLedger::append(std::uint64_t app_seq, bool delivery,
+                                        NodeId owner,
+                                        ClusterId owner_cluster) {
+  HC3I_CHECK(app_seq >> 63 == 0,
+             "ledger: app_seq " + std::to_string(app_seq) +
+                 " does not fit the 63-bit event key");
+  HC3I_CHECK(owner_cluster.v >> 31 == 0, "ledger: cluster id out of range");
+  const std::size_t slot = size_ % kChunkEvents;
+  if (slot == 0) chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+  (*chunks_.back())[slot] =
+      Event{app_seq << 1 | (delivery ? 1u : 0u), owner, owner_cluster.v << 1};
+  return ++size_;
 }
 
-std::uint64_t ConsistencyLedger::record_delivery(std::uint64_t app_seq,
-                                                 NodeId dst,
-                                                 ClusterId dst_cluster,
-                                                 SimTime t) {
-  const std::uint64_t seq = ++next_seq_;
-  events_.push_back(
-      Event{seq, app_seq, Kind::kDelivery, dst, dst_cluster, t, false});
-  return seq;
+template <typename Owned>
+void ConsistencyLedger::undo_past(std::uint64_t mark, Owned owned) {
+  HC3I_CHECK(mark <= size_, "ledger: undo past a cut not yet recorded");
+  // Event i has sequence i + 1, so the events past the cut are the indices
+  // [mark, size_); walk them newest first.
+  for (std::uint64_t i = size_; i-- > mark;) {
+    Event& e = (*chunks_[i / kChunkEvents])[i % kChunkEvents];
+    if ((e.cluster_undone & 1u) == 0 && owned(e)) {
+      e.cluster_undone |= 1u;
+      ++undone_count_;
+    }
+  }
 }
 
 void ConsistencyLedger::undo_after(ClusterId c, std::uint64_t mark) {
-  // Events are appended in seq order; walk backwards until seq <= mark.
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (it->seq <= mark) break;
-    if (it->owner_cluster == c && !it->undone) {
-      it->undone = true;
-      ++undone_count_;
-    }
-  }
+  undo_past(mark,
+            [c](const Event& e) { return e.cluster_undone >> 1 == c.v; });
 }
 
 void ConsistencyLedger::undo_after_node(NodeId n, std::uint64_t mark) {
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (it->seq <= mark) break;
-    if (it->owner_node == n && !it->undone) {
-      it->undone = true;
-      ++undone_count_;
-    }
-  }
+  undo_past(mark, [n](const Event& e) { return e.owner_node == n; });
 }
 
 std::vector<std::string> ConsistencyLedger::validate(
@@ -49,16 +50,14 @@ std::vector<std::string> ConsistencyLedger::validate(
   // failure-free run that is one allocation per message ever sent, which
   // dominated the allocation count of a whole simulation — while this
   // variant costs one buffer; sorting also yields the app_seq-ordered
-  // violation report for free.  app_seq occupies the low 32 bits of a
-  // (node << 32 | counter) pair in practice; the kind bit lives in bit 0
-  // of the shifted key, so the packing is lossless for any app_seq below
-  // 2^63 and the walk below decodes runs of one message.
+  // violation report for free.  Each event already stores its packed
+  // (app_seq << 1 | is_delivery) key; append() checks app_seq < 2^63, so
+  // the packing is lossless and the walk below decodes runs of one message.
   std::vector<std::uint64_t> keys;
-  keys.reserve(events_.size() - undone_count_);
-  for (const auto& e : events_) {
-    if (e.undone) continue;
-    keys.push_back((e.app_seq << 1) |
-                   (e.kind == Kind::kDelivery ? 1u : 0u));
+  keys.reserve(size_ - undone_count_);
+  for (std::uint64_t i = 0; i < size_; ++i) {
+    const Event& e = (*chunks_[i / kChunkEvents])[i % kChunkEvents];
+    if ((e.cluster_undone & 1u) == 0) keys.push_back(e.key);
   }
   std::sort(keys.begin(), keys.end());
   std::vector<std::string> violations;

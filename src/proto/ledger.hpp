@@ -18,31 +18,46 @@
 //
 // Any checkpointing protocol wired through proto::AgentBase gets audited
 // automatically; the property tests drive random failures through it.
+//
+// Memory: the ledger records on every run, so it is the one structure that
+// grows with the horizon however a run is configured.  An event is 16 bytes
+// (its sequence number is its position, plus one) and events live in
+// fixed-size chunks that are never relocated, so growth neither copies the
+// history nor holds two buffers at once (docs/scaling.md).
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "util/ids.hpp"
-#include "util/time.hpp"
 
 namespace hc3i::proto {
 
 /// Ledger of application-level send/delivery events.
 class ConsistencyLedger {
  public:
+  /// Events per chunk: 64 KiB of 16-byte events.
+  static constexpr std::size_t kChunkEvents = 4096;
+
   /// Record a send of logical message `app_seq` whose send-state belongs to
   /// node `src` in cluster `src_cluster`. Returns the event's sequence.
+  /// `app_seq` must be below 2^63 (it is stored shifted left by one).
   std::uint64_t record_send(std::uint64_t app_seq, NodeId src,
-                            ClusterId src_cluster, SimTime t);
+                            ClusterId src_cluster) {
+    return append(app_seq, false, src, src_cluster);
+  }
 
   /// Record a delivery of `app_seq` into node `dst`'s state.
   std::uint64_t record_delivery(std::uint64_t app_seq, NodeId dst,
-                                ClusterId dst_cluster, SimTime t);
+                                ClusterId dst_cluster) {
+    return append(app_seq, true, dst, dst_cluster);
+  }
 
   /// Current cut: events with sequence <= mark() are "in the state so far".
   /// Checkpoints store this; rollbacks undo past it.
-  std::uint64_t mark() const { return next_seq_; }
+  std::uint64_t mark() const { return size_; }
 
   /// Undo every live event owned by any node of cluster `c` with sequence
   /// > `mark` (the whole cluster rolled back to that cut).
@@ -61,22 +76,29 @@ class ConsistencyLedger {
   /// Count of undone events (both kinds) — a measure of rolled-back work.
   std::uint64_t undone_events() const { return undone_count_; }
   /// Total events recorded.
-  std::uint64_t total_events() const { return events_.size(); }
+  std::uint64_t total_events() const { return size_; }
 
  private:
-  enum class Kind : std::uint8_t { kSend, kDelivery };
+  /// One send or delivery.  Event i (0-based) has sequence i + 1: every
+  /// record_* call appends exactly one event.
   struct Event {
-    std::uint64_t seq;
-    std::uint64_t app_seq;
-    Kind kind;
-    NodeId owner_node;     ///< whose state the event belongs to
-    ClusterId owner_cluster;
-    SimTime t;
-    bool undone{false};
+    std::uint64_t key;             ///< app_seq << 1 | is_delivery
+    NodeId owner_node;             ///< whose state the event belongs to
+    std::uint32_t cluster_undone;  ///< owner cluster << 1 | undone
   };
+  static_assert(sizeof(Event) == 16);
 
-  std::vector<Event> events_;
-  std::uint64_t next_seq_{0};
+  using Chunk = std::array<Event, kChunkEvents>;
+
+  std::uint64_t append(std::uint64_t app_seq, bool delivery, NodeId owner,
+                       ClusterId owner_cluster);
+
+  /// Undo the live events past `mark` that `owned` selects.
+  template <typename Owned>
+  void undo_past(std::uint64_t mark, Owned owned);
+
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::uint64_t size_{0};
   std::uint64_t undone_count_{0};
 };
 

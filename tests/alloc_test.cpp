@@ -8,7 +8,8 @@
 //       DDV piggyback (paper §7), and a disabled HC3I_OBS site.  Each takes
 //       its allocation baseline after a warm-up and must then allocate
 //       nothing at all.  An enabled Recorder may allocate once per trace
-//       chunk, never per record.
+//       chunk, never per record, and the consistency ledger once per event
+//       chunk, never per event.
 //   scale bounds — the 5 -> 10-cluster heap growth of the scale-out
 //       scenario stays below 3 (linear cost gives 2, a clusters² term 4;
 //       docs/scaling.md), and the paper reference run stays under one
@@ -30,6 +31,7 @@
 #include "driver/run.hpp"
 #include "net/network.hpp"
 #include "obs/trace.hpp"
+#include "proto/ledger.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "stats/registry.hpp"
@@ -248,6 +250,32 @@ TEST(ZeroAlloc, TraceOnAllocatesOncePerChunk) {
   EXPECT_EQ(rec.records().size(), kEmits);
   EXPECT_LE(allocs, max_chunks + std::bit_width(max_chunks) + 10);
   EXPECT_LT(allocs * 1000, kEmits) << allocs << " allocations";
+}
+
+/// The consistency ledger records every application send and delivery of
+/// every run.  Its 16-byte events fill never-relocated chunks, so an append
+/// allocates only when it opens a chunk or grows the chunk table
+/// (logarithmically); undo and validate's key buffer are outside the loop.
+TEST(ZeroAlloc, LedgerAllocatesOncePerChunk) {
+  constexpr std::uint64_t kEvents = 1'000'000;
+  proto::ConsistencyLedger ledger;
+  const std::uint64_t allocs0 = g_allocs;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    const NodeId n{static_cast<std::uint32_t>(i % 1000)};
+    const ClusterId c{n.v / 100};
+    if (i % 2 == 0) {
+      ledger.record_send(i / 2, n, c);
+    } else {
+      ledger.record_delivery(i / 2, n, c);
+    }
+  }
+  const std::uint64_t allocs = g_allocs - allocs0;
+  const std::uint64_t chunks =
+      (kEvents + proto::ConsistencyLedger::kChunkEvents - 1) /
+      proto::ConsistencyLedger::kChunkEvents;
+  EXPECT_EQ(ledger.total_events(), kEvents);
+  EXPECT_LE(allocs, chunks + std::bit_width(chunks) + 2);
+  EXPECT_LT(allocs * 1000, kEvents) << allocs << " allocations";
 }
 
 /// Heap bytes requested by one seed-1 run of the scale-out scenario

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "fault/campaign.hpp"
+#include "fault/engine.hpp"
 #include "proto/recovery_line.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -368,6 +372,49 @@ TEST(Rollback, ClusterLogTotalsMatchAgentLogs) {
   EXPECT_EQ(w.registry.get("fault.injected"), 8u);
   EXPECT_GT(w.registry.get("log.resent_msgs"), 0u);
   EXPECT_GT(w.registry.get("gc.log_entries_removed"), 0u);
+  EXPECT_TRUE(w.fed.ledger().validate(false).empty());
+}
+
+TEST(Rollback, CoordinatorRecordsEachAlertOnce) {
+  // A coordinator records a rollback when the alert arrives and relays the
+  // alert to its whole cluster, itself included; the relay must not record
+  // it again.  Under the overlapping-burst campaign every coordinator's
+  // list holds one entry per (faulty cluster, incarnation), and the lists
+  // add up to the alerts the coordinators handled.
+  const config::RunSpec spec = config::scale_federation_spec(4, 8, minutes(30));
+  MiniWorld w(spec, 1);
+  fault::CampaignEngine engine(
+      w.fed, w.runtime.get(),
+      fault::reference_overlap_campaign(4, 8, minutes(30)),
+      spec.application.total_time);
+  engine.arm();
+  RngStream rng(1, 0);
+  for (int step = 0; step < 30; ++step) {
+    for (int k = 0; k < 10; ++k) {
+      const auto src = static_cast<std::uint32_t>(rng.next_below(32));
+      const auto dst = static_cast<std::uint32_t>(rng.next_below(32));
+      if (src != dst) w.send(NodeId{src}, NodeId{dst});
+    }
+    w.settle(minutes(1));
+  }
+  engine.finalize();
+  ASSERT_GE(w.registry.get("fault.injected"), 4u);
+  std::size_t recorded = 0;
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    const core::Hc3iAgent* coordinator =
+        w.runtime->cluster_agents(ClusterId{c}).front();
+    for (std::uint32_t f = 0; f < 4; ++f) {
+      std::vector<Incarnation> incs =
+          coordinator->known_rollback_incarnations(ClusterId{f});
+      recorded += incs.size();
+      std::sort(incs.begin(), incs.end());
+      EXPECT_TRUE(std::adjacent_find(incs.begin(), incs.end()) == incs.end())
+          << "coordinator of c" << c << " recorded a rollback of c" << f
+          << " twice";
+    }
+  }
+  EXPECT_GT(recorded, 0u);
+  EXPECT_EQ(recorded, w.registry.get("rollback.alerts"));
   EXPECT_TRUE(w.fed.ledger().validate(false).empty());
 }
 

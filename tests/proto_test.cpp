@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "proto/clc_store.hpp"
@@ -12,6 +14,7 @@
 #include "proto/ledger.hpp"
 #include "proto/msg_log.hpp"
 #include "proto/recovery_line.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hc3i::proto {
@@ -372,14 +375,14 @@ TEST(ClcStore, StorageBytesMatchesFromScratchCount) {
 
 TEST(Ledger, CleanRunValidates) {
   ConsistencyLedger ledger;
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
-  ledger.record_delivery(1, NodeId{5}, ClusterId{1}, seconds(2));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
+  ledger.record_delivery(1, NodeId{5}, ClusterId{1});
   EXPECT_TRUE(ledger.validate(false).empty());
 }
 
 TEST(Ledger, DetectsLostMessage) {
   ConsistencyLedger ledger;
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
   const auto v = ledger.validate(false);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NE(v[0].find("lost"), std::string::npos);
@@ -389,8 +392,8 @@ TEST(Ledger, DetectsLostMessage) {
 TEST(Ledger, DetectsGhost) {
   ConsistencyLedger ledger;
   const std::uint64_t mark = ledger.mark();
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
-  ledger.record_delivery(1, NodeId{5}, ClusterId{1}, seconds(2));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
+  ledger.record_delivery(1, NodeId{5}, ClusterId{1});
   // Sender cluster rolls back past the send; receiver does not.
   ledger.undo_after(ClusterId{0}, mark);
   const auto v = ledger.validate(true);
@@ -400,9 +403,9 @@ TEST(Ledger, DetectsGhost) {
 
 TEST(Ledger, DetectsDuplicate) {
   ConsistencyLedger ledger;
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
-  ledger.record_delivery(1, NodeId{5}, ClusterId{1}, seconds(2));
-  ledger.record_delivery(1, NodeId{5}, ClusterId{1}, seconds(3));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
+  ledger.record_delivery(1, NodeId{5}, ClusterId{1});
+  ledger.record_delivery(1, NodeId{5}, ClusterId{1});
   const auto v = ledger.validate(true);
   ASSERT_EQ(v.size(), 1u);
   EXPECT_NE(v[0].find("duplicate"), std::string::npos);
@@ -412,12 +415,12 @@ TEST(Ledger, RollbackPlusResendIsConsistent) {
   // The HC3I happy path: receiver rolls back (delivery undone), the sender
   // log re-sends, the new delivery lands.
   ConsistencyLedger ledger;
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
   const std::uint64_t mark = ledger.mark();
-  ledger.record_delivery(1, NodeId{5}, ClusterId{1}, seconds(2));
+  ledger.record_delivery(1, NodeId{5}, ClusterId{1});
   ledger.undo_after(ClusterId{1}, mark);
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(3));  // resend
-  ledger.record_delivery(1, NodeId{5}, ClusterId{1}, seconds(4));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});  // resend
+  ledger.record_delivery(1, NodeId{5}, ClusterId{1});
   EXPECT_TRUE(ledger.validate(false).empty());
   EXPECT_EQ(ledger.undone_events(), 1u);
 }
@@ -425,8 +428,8 @@ TEST(Ledger, RollbackPlusResendIsConsistent) {
 TEST(Ledger, UndoIsScopedToOwner) {
   ConsistencyLedger ledger;
   const std::uint64_t mark = ledger.mark();
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
-  ledger.record_send(2, NodeId{9}, ClusterId{1}, seconds(1));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
+  ledger.record_send(2, NodeId{9}, ClusterId{1});
   ledger.undo_after(ClusterId{0}, mark);
   // Only cluster 0's send is undone.
   EXPECT_EQ(ledger.undone_events(), 1u);
@@ -435,10 +438,160 @@ TEST(Ledger, UndoIsScopedToOwner) {
 TEST(Ledger, NodeScopedUndo) {
   ConsistencyLedger ledger;
   const std::uint64_t mark = ledger.mark();
-  ledger.record_send(1, NodeId{0}, ClusterId{0}, seconds(1));
-  ledger.record_send(2, NodeId{1}, ClusterId{0}, seconds(1));
+  ledger.record_send(1, NodeId{0}, ClusterId{0});
+  ledger.record_send(2, NodeId{1}, ClusterId{0});
   ledger.undo_after_node(NodeId{0}, mark);
   EXPECT_EQ(ledger.undone_events(), 1u);  // same cluster, different node kept
+}
+
+/// The ledger as it was first written: one 48-byte record per event with an
+/// explicit sequence number, in one vector, and a validate() that tallies
+/// each message in an ordered map.  The oracle for the packed ledger.
+class ReferenceLedger {
+ public:
+  void record(std::uint64_t app_seq, bool delivery, NodeId owner,
+              ClusterId owner_cluster) {
+    events_.push_back(
+        Event{++next_seq_, app_seq, delivery, owner, owner_cluster, false});
+  }
+  std::uint64_t mark() const { return next_seq_; }
+  void undo_after(ClusterId c, std::uint64_t mark) {
+    undo(mark, [c](const Event& e) { return e.owner_cluster == c; });
+  }
+  void undo_after_node(NodeId n, std::uint64_t mark) {
+    undo(mark, [n](const Event& e) { return e.owner_node == n; });
+  }
+  std::vector<std::string> validate(bool allow_in_flight) const {
+    std::map<std::uint64_t, std::pair<int, int>> live;  // sends, deliveries
+    for (const Event& e : events_) {
+      if (e.undone) continue;
+      auto& [sends, deliveries] = live[e.app_seq];
+      ++(e.delivery ? deliveries : sends);
+    }
+    std::vector<std::string> v;
+    for (const auto& [app_seq, tally] : live) {
+      const auto [sends, deliveries] = tally;
+      const std::string msg = "message " + std::to_string(app_seq);
+      if (deliveries > 1) {
+        v.push_back(msg + " delivered " + std::to_string(deliveries) +
+                    " times (duplicate)");
+      }
+      if (deliveries >= 1 && sends == 0) {
+        v.push_back(msg + " delivered but its send was rolled back (ghost)");
+      }
+      if (sends >= 1 && deliveries == 0 && !allow_in_flight) {
+        v.push_back(msg + " sent but never delivered (lost)");
+      }
+    }
+    return v;
+  }
+  std::uint64_t undone_events() const { return undone_; }
+  std::uint64_t total_events() const { return events_.size(); }
+
+ private:
+  struct Event {
+    std::uint64_t seq;
+    std::uint64_t app_seq;
+    bool delivery;
+    NodeId owner_node;
+    ClusterId owner_cluster;
+    bool undone;
+  };
+  template <typename Owned>
+  void undo(std::uint64_t mark, Owned owned) {
+    for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
+      if (it->seq <= mark) break;
+      if (owned(*it) && !it->undone) {
+        it->undone = true;
+        ++undone_;
+      }
+    }
+  }
+  std::vector<Event> events_;
+  std::uint64_t next_seq_{0};
+  std::uint64_t undone_{0};
+};
+
+/// Random histories across several chunk boundaries: sends and deliveries
+/// of a small message space (so duplicates, ghosts and losses all occur),
+/// cluster and node undos to marks inside a chunk, on a chunk boundary and
+/// at the current cut.  Both ledgers must agree on every observable.
+TEST(Ledger, MatchesReferenceModelAcrossChunks) {
+  constexpr std::uint64_t kChunk = ConsistencyLedger::kChunkEvents;
+  constexpr std::uint32_t kClusters = 4;
+  constexpr std::uint32_t kNodesPerCluster = 3;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RngStream rng(seed, 0);
+    ConsistencyLedger ledger;
+    ReferenceLedger ref;
+    std::vector<std::uint64_t> marks{0};
+    std::uint64_t undos_on_boundary = 0;
+    while (ledger.total_events() < 3 * kChunk + kChunk / 2) {
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 96) {
+        const auto node = static_cast<std::uint32_t>(
+            rng.next_below(kClusters * kNodesPerCluster));
+        const NodeId n{node};
+        const ClusterId c{node / kNodesPerCluster};
+        const std::uint64_t app_seq = rng.next_below(3000);
+        const bool delivery = rng.bernoulli(0.5);
+        if (delivery) {
+          ledger.record_delivery(app_seq, n, c);
+        } else {
+          ledger.record_send(app_seq, n, c);
+        }
+        ref.record(app_seq, delivery, n, c);
+        if (rng.bernoulli(0.05)) marks.push_back(ledger.mark());
+        continue;
+      }
+      // An undo target: a recorded cut, the last chunk boundary or the
+      // current cut (undoes nothing).
+      std::uint64_t mark = marks[rng.next_below(marks.size())];
+      const std::uint64_t pick = rng.next_below(4);
+      if (pick == 0) {
+        mark = ledger.mark() / kChunk * kChunk;
+        if (mark > 0) ++undos_on_boundary;
+      } else if (pick == 1) {
+        mark = ledger.mark();
+      }
+      if (op < 98) {
+        const ClusterId c{static_cast<std::uint32_t>(rng.next_below(kClusters))};
+        ledger.undo_after(c, mark);
+        ref.undo_after(c, mark);
+      } else {
+        const NodeId n{static_cast<std::uint32_t>(
+            rng.next_below(kClusters * kNodesPerCluster))};
+        ledger.undo_after_node(n, mark);
+        ref.undo_after_node(n, mark);
+      }
+      ASSERT_EQ(ledger.undone_events(), ref.undone_events()) << "seed " << seed;
+    }
+    EXPECT_GT(undos_on_boundary, 0u) << "seed " << seed;
+    EXPECT_GT(ledger.undone_events(), 0u) << "seed " << seed;
+    EXPECT_EQ(ledger.total_events(), ref.total_events()) << "seed " << seed;
+    EXPECT_EQ(ledger.mark(), ref.mark()) << "seed " << seed;
+    EXPECT_EQ(ledger.undone_events(), ref.undone_events()) << "seed " << seed;
+    const auto strict = ledger.validate(false);
+    EXPECT_FALSE(strict.empty()) << "seed " << seed;
+    EXPECT_EQ(strict, ref.validate(false)) << "seed " << seed;
+    EXPECT_EQ(ledger.validate(true), ref.validate(true)) << "seed " << seed;
+  }
+}
+
+/// Events store app_seq shifted left by one; a larger id would alias
+/// another message, so the ledger refuses it and records nothing.
+TEST(Ledger, RejectsAppSeqBeyond63Bits) {
+  ConsistencyLedger ledger;
+  constexpr std::uint64_t kMaxAppSeq = (std::uint64_t{1} << 63) - 1;
+  ledger.record_send(kMaxAppSeq, NodeId{0}, ClusterId{0});
+  ledger.record_delivery(kMaxAppSeq, NodeId{5}, ClusterId{1});
+  EXPECT_THROW(ledger.record_send(kMaxAppSeq + 1, NodeId{0}, ClusterId{0}),
+               CheckFailure);
+  EXPECT_THROW(ledger.record_delivery(~std::uint64_t{0}, NodeId{5},
+                                      ClusterId{1}),
+               CheckFailure);
+  EXPECT_EQ(ledger.total_events(), 2u);
+  EXPECT_TRUE(ledger.validate(false).empty());
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 
 Exits 0 when the output equals GOLDEN.  Otherwise prints a unified diff
 (golden first, at most 40 lines) and exits 1; a command that fails exits
-with its own status.  The five fixed-seed counter dumps (`hc3i_sim
-configs/small/*.conf --dump-counters` and four `hc3i_sim configs/scale/...
---dump-counters [--campaign=...]` runs) are registered as ctest tests
-through this script, so counter drift fails the local tier-1 run and not
-only CI.
+with its own status after echoing the tail of its stdout (paper_check
+prints its failing cells last).  The five fixed-seed counter dumps
+(`hc3i_sim configs/small/*.conf --dump-counters` and four `hc3i_sim
+configs/scale/... --dump-counters [--campaign=...]` runs) and the
+`paper_check` table (bench/paper_check.txt) are registered as ctest tests
+through this script, so drift fails the local tier-1 run and not only CI.
 """
 
 import difflib
@@ -26,6 +27,8 @@ def main(argv):
     golden_path, command = argv[1], argv[3:]
     run = subprocess.run(command, stdout=subprocess.PIPE)
     if run.returncode != 0:
+        tail = run.stdout.decode(errors="replace").splitlines(keepends=True)
+        sys.stdout.writelines(tail[-MAX_DIFF_LINES:])
         print("golden_diff: %s exited %d" % (command[0], run.returncode),
               file=sys.stderr)
         return run.returncode
